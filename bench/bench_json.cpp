@@ -11,10 +11,9 @@
 // hardware thread through the exec subsystem ("threads" records the actual
 // worker count — on a 1-core machine they measure the speculation overhead,
 // not a speedup); results are bit-identical to the serial rows by design.
-// The *_batch rows run the same work through the 64-lane bit-parallel
-// BatchFrameSimulator (learn_full_pass keeps batch_lanes = 0 so its row
-// stays comparable across PRs); results are bit-identical to the serial
-// rows by design.
+// frame_sim_batch_injection runs the stem-injection work through the
+// 64-lane bit-parallel BatchFrameSimulator; the learn_* rows measure the
+// learning pass, which always runs 64-lane batches.
 //
 // Usage: bench_bench_json [--min-seconds S] [output.json]
 // (default: 2.0-second budget per row, BENCH_sim.json in cwd; "-" writes
@@ -138,15 +137,12 @@ Row bench_parallel_patterns(const Netlist& nl) {
 }
 
 Row bench_learn(const Netlist& nl, const netlist::Topology& topo, exec::Pool* pool,
-                unsigned threads, const char* name, std::size_t batch_lanes) {
+                unsigned threads, const char* name) {
     // One full learn() pass per rep over the shared CSR snapshot (the
-    // Session pattern); items = stems processed per pass. batch_lanes = 0
-    // keeps the serial rows on the one-run-per-injection path so they stay
-    // comparable across PRs; the _batch row turns the 64-lane engine on.
+    // Session pattern); items = stems processed per pass.
     core::LearnConfig cfg;
     cfg.threads = threads;
     cfg.executor = pool;
-    cfg.batch_lanes = batch_lanes;
     const std::size_t stems = nl.stems().size();
     Row row = measure(name, stems, g_min_seconds, [&] {
         const core::LearnResult r = core::learn(nl, topo, cfg);
@@ -182,14 +178,13 @@ Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool
 
 Row bench_budget_overhead(const Netlist& nl, const netlist::Topology& topo) {
     // Cost of the governance layer on the learning hot path: full serial
-    // scalar passes with an active (but never-tripping) Budget — deadline
-    // polling at every stem boundary — interleaved with identical ungoverned
+    // passes with an active (but never-tripping) Budget — deadline polling
+    // at every stem boundary — interleaved with identical ungoverned
     // passes, so drift hits both sides equally. The row reports governed
     // throughput; overhead_pct is the governed-vs-plain wall-time delta (CI
     // pins it under 2%; polling is one steady_clock read per stem).
     core::LearnConfig governed;
     governed.threads = 1;
-    governed.batch_lanes = 0;
     governed.budget.deadline = std::chrono::hours(24);
     governed.budget.max_items = static_cast<std::size_t>(-1) / 2;
     core::LearnConfig plain = governed;
@@ -238,7 +233,6 @@ Row bench_learn_resume(const Netlist& nl, const netlist::Topology& topo) {
     // serialization plus the resumed pass's state rebuild).
     core::LearnConfig base;
     base.threads = 1;
-    base.batch_lanes = 0;
     core::LearnConfig budgeted = base;
     budgeted.budget.max_items = nl.stems().size() / 2;
 
@@ -702,10 +696,9 @@ int main(int argc, char** argv) {
     rows.push_back(bench_frame_sim(nl));
     rows.push_back(bench_frame_sim_batch(nl, topo));
     rows.push_back(bench_parallel_patterns(nl));
-    rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass", 0));
-    rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass_batch", 64));
+    rows.push_back(bench_learn(nl, topo, nullptr, 1, "learn_full_pass"));
     rows.push_back(bench_fault_sim(nl, topo, nullptr, 1, /*mt=*/false));
-    rows.push_back(bench_learn(nl, topo, &pool, hw, "learn_full_pass_mt", 0));
+    rows.push_back(bench_learn(nl, topo, &pool, hw, "learn_full_pass_mt"));
     rows.push_back(bench_fault_sim(nl, topo, &pool, hw, /*mt=*/true));
     rows.push_back(bench_multi_session_atpg(nl));
     rows.push_back(bench_budget_overhead(nl, topo));

@@ -2,10 +2,9 @@
 //
 //   seqlearn_cli stats  <circuit.bench | suite:NAME> [--json]
 //   seqlearn_cli learn  <circuit.bench | suite:NAME> [--frames N] [--threads N]
-//                       [--batch-lanes N] [--limit-stems N] [--deadline-ms N]
-//                       [--sat-frames K] [--checkpoint FILE] [--resume FILE]
-//                       [--save-db FILE] [--db-format text|binary] [--out FILE]
-//                       [--json]
+//                       [--limit-stems N] [--deadline-ms N] [--sat-frames K]
+//                       [--checkpoint FILE] [--resume FILE] [--save-db FILE]
+//                       [--db-format text|binary] [--json]
 //   seqlearn_cli atpg   <circuit.bench | suite:NAME> [--mode none|forbidden|known]
 //                       [--backend framesim|sat|auto] [--sat-frames K]
 //                       [--backtracks N] [--load-db FILE] [--save-db FILE]
@@ -34,8 +33,7 @@
 // unknown elements, ...) are reported on stderr instead of being silently
 // dropped. All commands run through an api::Session over an api::Design, so
 // the circuit is levelized once and learned data moves through
-// Session::save_db / load_db. (--out and --learned are deprecated aliases
-// of --save-db and --load-db.) --db-format picks the --save-db encoding:
+// Session::save_db / load_db. --db-format picks the --save-db encoding:
 // "text" (default) is the archival name-keyed format, "binary" the
 // fast-loading id-keyed one, digest-bound to this exact netlist; --load-db
 // accepts either, sniffed by magic.
@@ -58,10 +56,10 @@
 // stage. --checkpoint FILE saves a budget-stopped learn for a later
 // --resume FILE, which continues it to the same final result an unbudgeted
 // run produces. --threads N runs every stage on N workers (default: one per
-// hardware thread; results are bit-identical at any thread count).
-// --batch-lanes N sets the 64-lane bit-parallel stem batching of the
-// learning pass (default 64; 0 forces the scalar path; results are
-// bit-identical at any setting). gen writes a synthetic ISCAS-like circuit
+// hardware thread; results are bit-identical at any thread count). The
+// removed flags --out, --learned (use --save-db / --load-db) and
+// --batch-lanes (learning always runs 64-lane batches) are usage errors
+// rather than silently ignored. gen writes a synthetic ISCAS-like circuit
 // via workload::circuit_gen for scaling experiments.
 //
 // --backend picks the ATPG engine per README "Backends": framesim (default,
@@ -121,6 +119,18 @@ bool flag_present(int argc, char** argv, const char* name) {
         if (std::strcmp(argv[i], name) == 0) return true;
     }
     return false;
+}
+
+// Flags that were removed: the argument scan ignores unknown flags, so
+// without this check a script passing one would exit 0 having silently done
+// less (e.g. saved nothing). Returns the usage message, or null.
+const char* removed_flag_message(int argc, char** argv) {
+    if (flag_present(argc, argv, "--out")) return "--out was removed; use --save-db FILE";
+    if (flag_present(argc, argv, "--learned"))
+        return "--learned was removed; use --load-db FILE";
+    if (flag_present(argc, argv, "--batch-lanes"))
+        return "--batch-lanes was removed; learning always runs 64-lane batches";
+    return nullptr;
 }
 
 // One exit code per failure class (see the header comment).
@@ -239,7 +249,7 @@ void print_json(api::Session& session, const netlist::Diagnostics& diags,
                       s.learn.gate_ff_relations, s.learn.comb_relations,
                       s.learn.equiv_classes, s.learn.multi_relations,
                       s.learn.stems_processed, s.learn.sat_probes, s.learn.sat_ties,
-                      s.learn.sat_relations, s.learn.cancelled ? "true" : "false",
+                      s.learn.sat_relations, s.learn_outcome.ok() ? "false" : "true",
                       s.learn.cpu_seconds);
         out += buf;
         // Trim the closing brace and append the structured outcome.
@@ -392,13 +402,10 @@ int cmd_learn(api::Session& session, const netlist::Diagnostics& diags, int argc
     core::LearnConfig cfg;
     if (const char* f = flag_value(argc, argv, "--frames"))
         cfg.max_frames = static_cast<std::uint32_t>(std::atoi(f));
-    if (const char* b = flag_value(argc, argv, "--batch-lanes"))
-        cfg.batch_lanes = static_cast<std::size_t>(std::atoi(b));
     if (const char* l = flag_value(argc, argv, "--limit-stems")) {
         // Budgeted pass: stop deterministically after N work items
-        // (LimitReached; partial results are kept and stats.cancelled is
-        // set) — bounds learn time on huge circuits without a special-cased
-        // fast path.
+        // (LimitReached; partial results are kept) — bounds learn time on
+        // huge circuits without a special-cased fast path.
         cfg.budget.max_items = static_cast<std::size_t>(std::atoll(l));
     }
     if (const char* d = flag_value(argc, argv, "--deadline-ms"))
@@ -442,9 +449,7 @@ int cmd_learn(api::Session& session, const netlist::Diagnostics& diags, int argc
                         r.outcome.name());
         }
     }
-    const char* path = flag_value(argc, argv, "--save-db");
-    if (path == nullptr) path = flag_value(argc, argv, "--out");
-    if (path != nullptr) {
+    if (const char* path = flag_value(argc, argv, "--save-db")) {
         const int rc = save_db_flagged(session, path, argc, argv, json);
         if (rc != 0) return rc;
     }
@@ -510,9 +515,7 @@ int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, int argc,
     if (mode_s != "none") {
         cfg.mode = mode_s == "known" ? atpg::LearnMode::KnownValue
                                      : atpg::LearnMode::ForbiddenValue;
-        const char* db_path = flag_value(argc, argv, "--load-db");
-        if (db_path == nullptr) db_path = flag_value(argc, argv, "--learned");
-        if (const char* path = db_path) {
+        if (const char* path = flag_value(argc, argv, "--load-db")) {
             const std::size_t skipped = session.load_db(path);
             if (!json)
                 std::printf("loaded learned data (%zu relations, %zu ties, %zu skipped)\n",
@@ -701,6 +704,10 @@ int cmd_serve(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+    if (const char* msg = removed_flag_message(argc, argv)) {
+        std::fprintf(stderr, "error: %s\n", msg);
+        return 2;
+    }
     if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
         try {
             return cmd_serve(argc, argv);

@@ -19,10 +19,6 @@ Session::Session(DesignPtr design, SessionConfig cfg)
 Session::Session(netlist::Netlist nl, SessionConfig cfg)
     : Session(DesignBuilder(std::move(nl)).build(), std::move(cfg)) {}
 
-Session Session::view(const netlist::Netlist& nl, SessionConfig cfg) {
-    return Session(netlist::Netlist(nl), std::move(cfg));
-}
-
 unsigned Session::resolve_threads(unsigned stage_threads) const noexcept {
     if (stage_threads != 0) return stage_threads;
     if (cfg_.threads != 0) return cfg_.threads;
@@ -275,7 +271,6 @@ FaultSimReport Session::fault_sim(std::span<const sim::InputSequence> tests,
     // The Budget above is stack-local: the simulator must not keep pointing
     // at it past this call.
     fsim.set_governance(nullptr, nullptr, nullptr);
-    report.cancelled = !report.outcome.ok();
     const fault::FaultList::Counts c = list.counts();
     report.total = c.total;
     report.detected = c.detected;

@@ -67,7 +67,7 @@ struct Progress {
 };
 
 /// Stage observer; return false to cancel the running stage (partial
-/// results are kept; learn/ATPG outcomes carry a cancelled flag). Whatever
+/// results are kept; learn/ATPG outcomes record the stop). Whatever
 /// the stage's thread count, callbacks are delivered serialized on the
 /// thread that called the stage method, in canonical unit order — an
 /// observer needs no locking of its own. A false return raises the
@@ -125,9 +125,6 @@ struct FaultSimReport {
     /// On any early stop the counts above cover only the sequences fully
     /// simulated before the cut — a sound lower bound on coverage.
     exec::RunOutcome outcome;
-    /// Convenience flag: true whenever validation ended early, i.e.
-    /// !outcome.ok() (kept for report printers).
-    bool cancelled = false;
 };
 
 /// Aggregate view over everything the Session has computed so far.
@@ -188,13 +185,6 @@ public:
     /// yourself when several Sessions will share the circuit.
     explicit Session(netlist::Netlist nl, SessionConfig cfg = {});
 
-    /// Deprecated lifetime-footgun shim: the borrowed netlist had to
-    /// outlive the Session. Now copies `nl` into a private Design; kept one
-    /// release so existing callers compile. Use Session(DesignPtr) (or the
-    /// owning constructor) instead.
-    [[deprecated("construct from a shared api::Design instead")]]
-    static Session view(const netlist::Netlist& nl, SessionConfig cfg = {});
-
     Session(Session&&) noexcept = default;
     Session& operator=(Session&&) noexcept = default;
 
@@ -248,7 +238,7 @@ public:
     /// the (possibly again partial) result like learn() does. The config —
     /// cfg.learn for the first overload — must have the same result-affecting
     /// fields as the run that produced the checkpoint (execution fields:
-    /// threads / executor / batch_lanes / budget may differ freely); throws
+    /// threads / executor / budget may differ freely); throws
     /// std::invalid_argument otherwise. A resumed run completes to the same
     /// final db/ties the uninterrupted run would have produced.
     const core::LearnResult& resume_learn(const core::LearnCheckpoint& ckpt);

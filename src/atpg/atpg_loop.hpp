@@ -122,7 +122,7 @@ struct AtpgConfig {
     /// Per-fault progress observer: called before each deterministic target
     /// with (faults fully processed so far, targets when the loop entered).
     /// Return false to cancel the campaign; partial results are kept and the
-    /// outcome is flagged cancelled. Null = no observation.
+    /// outcome's `run` is Cancelled. Null = no observation.
     std::function<bool(std::size_t done, std::size_t total)> on_fault;
 };
 
@@ -168,9 +168,6 @@ struct AtpgOutcome {
     /// before the stop) are valid; Failed means an exception was captured
     /// with the committed state intact. Never throws past run_atpg.
     exec::RunOutcome run;
-    /// Convenience flag: true whenever the campaign ended early, i.e.
-    /// !run.ok() (kept for report printers).
-    bool cancelled = false;
 };
 
 /// Run a campaign over `list` (statuses updated in place) reusing the

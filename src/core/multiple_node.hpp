@@ -9,22 +9,19 @@
 //
 // Targets are processed in deterministic key order with the same serial
 // semantics as the single-node pass (a tie learned at target k seeds the
-// simulation of target k+1); the parallel path uses the same ordered
-// speculation, recomputing any target whose commit finds the tie set moved.
-//
-// Batching: with BatchFrameSimulators supplied, up to 64 targets — one lane
-// each, every lane carrying its own injection schedule and exact frame
-// window T+1 — run as one bit-parallel event sweep; the tie/constant
-// seeding shared by all targets is then paid once per batch instead of once
-// per target. A committed tie re-derives the remaining targets of its batch
-// against the fresh tie state, exactly as the single-node pass does, so
-// results are bit-identical to the unbatched schedule.
+// simulation of target k+1). Up to 64 targets — one lane each, every lane
+// carrying its own injection schedule and exact frame window T+1 — run as
+// one bit-parallel event sweep and one speculation item; the tie/constant
+// seeding shared by all targets is paid once per batch instead of once per
+// target. A committed tie re-derives the remaining targets of its batch
+// against the fresh tie state, exactly as the single-node pass does, and
+// the ordered speculation recomputes any batch dispatched before the tie
+// set moved.
 
 #include "core/impl_db.hpp"
 #include "core/single_node.hpp"
 #include "core/stem_records.hpp"
 #include "core/tie.hpp"
-#include "sim/frame_sim.hpp"
 
 #include <span>
 
@@ -58,22 +55,17 @@ struct MultipleNodeOutcome {
 };
 
 /// Run multiple-node learning over every record key using the per-worker
-/// simulators `sims` (identically configured over one Topology, tie vectors
-/// aliasing `ties`; sims[0] drives the serial path). New relations land in
-/// `db`, ties in `ties` (visible to later targets through the simulator).
-/// `batch_sims` (same count and configuration discipline as `sims`) enables
-/// 64-lane batched simulation with `batch_targets` targets per batch
-/// (clamped to 64); empty span or 0 selects the one-run-per-target path.
-/// Results are bit-identical either way. `first_target` skips that many
+/// batch simulators `sims` (identically configured over one Topology, tie
+/// vectors aliasing `ties`; sims[0] drives the calling thread's recomputes;
+/// at least one). New relations land in `db`, ties in `ties` (visible to
+/// later targets through the simulator). `first_target` skips that many
 /// leading targets of the deterministic order — the resume entry point for
 /// a run whose predecessor stopped mid-pass (its outcome's next_index).
 MultipleNodeOutcome multiple_node_learning(const netlist::Netlist& nl,
-                                           std::span<sim::FrameSimulator> sims,
+                                           std::span<sim::BatchFrameSimulator> sims,
                                            const StemRecords& records,
                                            const MultipleNodeConfig& cfg, TieSet& ties,
                                            ImplicationDB& db, const LearnExecEnv& env = {},
-                                           std::span<sim::BatchFrameSimulator> batch_sims = {},
-                                           std::size_t batch_targets = 0,
                                            std::size_t first_target = 0);
 
 }  // namespace seqlearn::core

@@ -28,7 +28,6 @@ void finalize_stats(LearnResult& result, const Netlist& nl, const util::Timer& t
     result.stats.ties_combinational = result.ties.count_combinational();
     result.stats.ties_sequential = result.ties.count_sequential();
     result.stats.cpu_seconds = timer.seconds();
-    result.stats.cancelled = !result.outcome.ok();
 }
 
 exec::RunOutcome outcome_from(exec::RunStatus st, const exec::Budget* budget) {
@@ -110,28 +109,18 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
         // simulation facts for every later stem regardless of which worker
         // simulates it.
         const unsigned num_sims = std::max(1u, ex.workers);
-        const std::size_t batch_stems = cfg.batch_lanes / 2;  // 0 or 1 lane = scalar
         const std::uint64_t digest = learn_config_digest(cfg);
         bool stopped = false;
         for (std::size_t ci = start_class; ci < classes.size() && !stopped; ++ci) {
             const netlist::ClockClass& cls = classes[ci];
             const sim::SeqGating gating = sim::SeqGating::for_class(nl, cls.members);
-            std::vector<sim::FrameSimulator> sims;
-            std::vector<sim::BatchFrameSimulator> batch_sims;
+            std::vector<sim::BatchFrameSimulator> sims;
             sims.reserve(num_sims);
-            batch_sims.reserve(batch_stems != 0 ? num_sims : 0);
             for (unsigned w = 0; w < num_sims; ++w) {
                 sims.emplace_back(topo, gating);
                 if (cfg.use_equivalences)
                     sims.back().set_equivalences(&result.equivalences.map);
                 sims.back().set_ties(&result.ties.dense(), &result.ties.dense_cycles());
-                if (batch_stems != 0) {
-                    batch_sims.emplace_back(topo, gating);
-                    if (cfg.use_equivalences)
-                        batch_sims.back().set_equivalences(&result.equivalences.map);
-                    batch_sims.back().set_ties(&result.ties.dense(),
-                                               &result.ties.dense_cycles());
-                }
             }
 
             // Resuming mid-class restores that class's records and skips the
@@ -147,7 +136,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
                 const SingleNodeOutcome single = single_node_learning(
                     nl, sims, std::span<const GateId>(stems).subspan(first_stem),
                     cfg.max_frames, result.ties, result.db, records,
-                    progress ? &progress : nullptr, env, batch_sims, batch_stems);
+                    progress ? &progress : nullptr, env);
                 result.stats.stems_processed += single.stems_processed;
                 if (single.stop != exec::RunStatus::Completed) {
                     result.outcome = outcome_from(single.stop, budget_ptr);
@@ -164,8 +153,7 @@ LearnResult learn_impl(const Netlist& nl, const netlist::Topology& topo,
                 mcfg.max_frames = cfg.max_frames;
                 const std::size_t first_target = skip_single ? start_unit : 0;
                 const MultipleNodeOutcome multi = multiple_node_learning(
-                    nl, sims, records, mcfg, result.ties, result.db, env, batch_sims,
-                    cfg.batch_lanes, first_target);
+                    nl, sims, records, mcfg, result.ties, result.db, env, first_target);
                 result.stats.multi_targets += multi.targets_processed;
                 result.stats.multi_relations += multi.relations_added;
                 result.stats.multi_ties += multi.ties_found;

@@ -26,7 +26,7 @@
 namespace seqlearn::core {
 
 /// Progress observer: (units done, total units). Return false to cancel the
-/// running pass; partial results are kept and flagged cancelled.
+/// running pass; partial results are kept and the outcome records the stop.
 using ProgressFn = std::function<bool(std::size_t done, std::size_t total)>;
 
 struct LearnConfig {
@@ -50,12 +50,6 @@ struct LearnConfig {
     /// production). Polled inside work items, speculation commits, and batch
     /// recomputes.
     exec::FailurePoint* failpoint = nullptr;
-    /// Lanes per bit-parallel batch in the single-node pass (two lanes — the
-    /// inject-0 and inject-1 runs — per stem, so 64 lanes = 32 stems per
-    /// batch). 0 and 1 disable batching and simulate one scenario per
-    /// event-driven run. Results are bit-identical at every setting; the
-    /// batched path is the fast one (see sim::BatchFrameSimulator).
-    std::size_t batch_lanes = 64;
     /// Forward-simulation depth (the paper's experiments use 50).
     std::uint32_t max_frames = 50;
     /// Stop a stem simulation when the sequential state repeats.
@@ -106,10 +100,6 @@ struct LearnStats {
     std::size_t sat_ties = 0;
     std::size_t sat_relations = 0;
     double cpu_seconds = 0.0;
-    /// True whenever the run ended before completing the full schedule —
-    /// i.e. `LearnResult::outcome.ok()` is false (kept as a plain flag for
-    /// report printers).
-    bool cancelled = false;
 };
 
 /// Where an interrupted learning run stopped, in terms of the deterministic
@@ -172,7 +162,7 @@ struct LearnCheckpoint {
 
 /// Digest of the LearnConfig fields that affect learning *results* (depth,
 /// passes, caps, equivalence tuning). Execution-only fields — threads,
-/// executor, batch_lanes, budget, callbacks — are excluded: results are
+/// executor, budget, callbacks — are excluded: results are
 /// bit-identical across them, so a checkpoint taken under one is resumable
 /// under another.
 std::uint64_t learn_config_digest(const LearnConfig& cfg);
@@ -191,8 +181,8 @@ LearnResult learn(const netlist::Netlist& nl, const netlist::Topology& topo,
 
 /// Continue an interrupted run from `ckpt`. The combined run (original up
 /// to the cursor, then this) produces bit-identical results to a single
-/// uninterrupted learn() with the same config — at any thread count or
-/// batch width. Throws std::invalid_argument when the checkpoint does not
+/// uninterrupted learn() with the same config — at any thread count.
+/// Throws std::invalid_argument when the checkpoint does not
 /// match the netlist or the config digest.
 LearnResult resume_learn(const netlist::Netlist& nl, const netlist::Topology& topo,
                          const LearnConfig& cfg, const LearnCheckpoint& ckpt);

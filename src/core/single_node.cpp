@@ -42,7 +42,6 @@ void frame_starts(const sim::FrameSimResult& res, std::uint32_t max_frames,
 struct ExtractScratch {
     std::vector<Val3> other;
     std::vector<GateId> other_touched;
-    sim::FrameSimResult res[2];
     std::vector<std::uint32_t> starts[2];
     std::vector<Literal> seq1;
     std::vector<std::uint32_t> cand;  // pass-2 candidate indices into f0
@@ -85,7 +84,8 @@ struct StemDelta {
     }
 };
 
-// The serial/commit-side context: mutates the real structures directly.
+// The commit-side context (batch recompute): mutates the real structures
+// directly.
 struct DirectCtx {
     TieSet& ties;
     ImplicationDB& db;
@@ -132,19 +132,18 @@ struct SpecCtx {
 
 // Record collection and same-frame pairing over two completed conflict-free
 // runs (inject 0 -> r0, inject 1 -> r1), both with implied lists grouped by
-// frame. Shared verbatim by the scalar and batched paths via the context, so
+// frame. Shared by the speculative and recompute sides via the context, so
 // the two cannot drift apart.
 //
-// Within a frame the implied values may arrive in any order — a scalar run
-// yields its event-schedule order, a batch-extracted lane the interleaved
-// batch schedule's — so this extraction is deliberately order-insensitive:
-// per frame it first establishes every tie of that frame (a pure set
-// condition), then emits relations with the frame's ties fully known. The
-// emitted records, relation set, and tie set are functions of the per-frame
-// implied *sets* alone, which 3-valued monotone propagation makes
-// schedule-independent; that is what lets the batched and scalar paths
-// produce bit-identical learning results without canonicalizing sorts on
-// the hot path.
+// Within a frame the implied values arrive in the interleaved batch
+// schedule's order, which depends on which stems share the batch — so this
+// extraction is deliberately order-insensitive: per frame it first
+// establishes every tie of that frame (a pure set condition), then emits
+// relations with the frame's ties fully known. The emitted records,
+// relation set, and tie set are functions of the per-frame implied *sets*
+// alone, which 3-valued monotone propagation makes schedule-independent;
+// that is what keeps results bit-identical however a tie discovery
+// re-forms the batches, without canonicalizing sorts on the hot path.
 template <typename Ctx>
 void extract_stem_results(const Netlist& nl, GateId stem, const sim::FrameSimResult& r0,
                           const sim::FrameSimResult& r1, std::uint32_t max_frames,
@@ -219,43 +218,17 @@ void extract_stem_results(const Netlist& nl, GateId stem, const sim::FrameSimRes
     }
 }
 
-// One stem through the scalar simulator, start to finish: skip check, both
-// injections, conflict handling, extraction. Returns whether the stem was
-// processed (false = skipped tied/constant).
+// One stem's learning from its two extracted batch lanes (`r0`/`r1`:
+// frame-grouped implied lists; conflict flag for contradictory lanes).
 template <typename Ctx>
-bool process_stem(const Netlist& nl, sim::FrameSimulator& sim, GateId stem,
-                  std::uint32_t max_frames, ExtractScratch& s, Ctx& ctx) {
-    if (ctx.tied(stem) || is_constant(nl, stem)) return false;
-    s.ensure(nl.size());
-
-    sim::FrameSimOptions opt;
-    opt.max_frames = max_frames;
-    for (const Val3 v : {Val3::Zero, Val3::One}) {
-        const sim::Injection inj{0, stem, v};
-        auto& r = s.res[v == Val3::One ? 1 : 0];
-        sim.run_into({&inj, 1}, opt, r);
-        if (r.conflict) {
-            // Injecting v contradicted established facts: the stem can
-            // never be v, i.e. it is tied to !v. The refuted premise sat
-            // at an arbitrary-state frame, so the tie holds from frame 0.
-            ctx.set_tie(stem, logic::v3_not(v), 0);
-            ctx.mark_stem_conflict();
-            return true;
-        }
-    }
-    extract_stem_results(nl, stem, s.res[0], s.res[1], max_frames, s, ctx);
-    return true;
-}
-
-// The batched twin of process_stem's tail: the runs already happened inside
-// a 64-lane batch; `r0`/`r1` are the stem's extracted lanes (frame-grouped
-// implied lists; conflict flag for contradictory lanes).
-template <typename Ctx>
-void extract_batched_stem(const Netlist& nl, GateId stem, const sim::FrameSimResult& r0,
+void extract_stem(const Netlist& nl, GateId stem, const sim::FrameSimResult& r0,
                           const sim::FrameSimResult& r1, std::uint32_t max_frames,
                           ExtractScratch& s, Ctx& ctx) {
     s.ensure(nl.size());
-    // Scalar order: the inject-0 run happens (and may conflict) first.
+    // Injecting v contradicted established facts: the stem can never be v,
+    // i.e. it is tied to !v. The refuted premise sat at an arbitrary-state
+    // frame, so the tie holds from frame 0. The inject-0 lane is checked
+    // first (the serial schedule's order).
     if (r0.conflict) {
         ctx.set_tie(stem, Val3::One, 0);
         ctx.mark_stem_conflict();
@@ -271,36 +244,8 @@ void extract_batched_stem(const Netlist& nl, GateId stem, const sim::FrameSimRes
 
 using ProgressFnPtr = const std::function<bool(std::size_t, std::size_t)>*;
 
-SingleNodeOutcome run_serial(const Netlist& nl, sim::FrameSimulator& sim,
-                             std::span<const GateId> stems, std::uint32_t max_frames,
-                             TieSet& ties, ImplicationDB& db, StemRecords& records,
-                             ProgressFnPtr progress, const LearnExecEnv& env) {
-    SingleNodeOutcome out;
-    ExtractScratch scratch;
-    DirectCtx ctx{ties, db, records, out};
-    for (std::size_t idx = 0; idx < stems.size(); ++idx) {
-        const exec::RunStatus st = exec::poll_point(env.cancel, env.budget);
-        if (st != exec::RunStatus::Completed) {
-            out.stop = st;
-            break;
-        }
-        if (progress != nullptr && *progress && !(*progress)(idx, stems.size())) {
-            out.stop = exec::RunStatus::Cancelled;
-            break;
-        }
-        if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::WorkItem);
-        if (process_stem(nl, sim, stems[idx], max_frames, scratch, ctx))
-            ++out.stems_processed;
-        if (env.budget != nullptr) env.budget->note_item();
-        out.next_index = idx + 1;
-    }
-    return out;
-}
-
-// ------------------------------------------------------------------ batched
-
-// Per-worker scratch for the batched path: the lane schedules of one batch,
-// the raw batch result, and the per-lane extracted runs.
+// Per-worker scratch: the lane schedules of one batch, the raw batch result,
+// and the per-lane extracted runs.
 struct BatchScratch {
     ExtractScratch scratch;
     std::vector<std::uint8_t> overlay;
@@ -341,20 +286,26 @@ void simulate_stem_batch(sim::BatchFrameSimulator& bsim, std::span<const GateId>
     w.bres.extract_all({w.lane_res.data(), static_cast<std::size_t>(n_lanes)});
 }
 
-// NOTE: structural twin of multiple_node.cpp's run_batched — the commit
-// skeleton (observe/stale/apply/recompute walk) is shared via
+}  // namespace
+
+// NOTE: structural twin of multiple_node_learning — the commit skeleton
+// (observe/stale/apply/recompute walk) is shared via
 // exec::speculate_batches, but the client scaffolding here (slot sizing,
 // version snapshot, the re-batch-after-tie recompute loop with its
 // done = p + 1 boundary) must be kept in lockstep with that file.
-SingleNodeOutcome run_batched(const Netlist& nl,
-                              std::span<sim::BatchFrameSimulator> batch_sims,
-                              std::span<const GateId> stems, std::uint32_t max_frames,
-                              std::size_t batch_stems, TieSet& ties, ImplicationDB& db,
-                              StemRecords& records, ProgressFnPtr progress,
-                              const LearnExecEnv& env, unsigned workers) {
+SingleNodeOutcome single_node_learning(const Netlist& nl,
+                                       std::span<sim::BatchFrameSimulator> sims,
+                                       std::span<const GateId> stems,
+                                       std::uint32_t max_frames, TieSet& ties,
+                                       ImplicationDB& db, StemRecords& records,
+                                       ProgressFnPtr progress, const LearnExecEnv& env) {
+    unsigned workers = env.pool != nullptr ? env.pool->size() : 1;
+    if (env.max_workers != 0) workers = std::min(workers, env.max_workers);
+    workers = std::max(1u, std::min<unsigned>(workers, static_cast<unsigned>(sims.size())));
+
     SingleNodeOutcome out;
     const std::size_t n = stems.size();
-    const std::size_t bs = std::min(batch_stems, kMaxBatchStems);
+    constexpr std::size_t bs = kMaxBatchStems;
 
     const exec::SpeculateOptions sopt;
     std::vector<BatchScratch> ws(workers);
@@ -407,17 +358,17 @@ SingleNodeOutcome run_batched(const Netlist& nl,
         std::array<int, kMaxBatchStems> lane_of{};
         while (i < end) {
             const std::size_t count = std::min(bs, end - i);
-            simulate_stem_batch(batch_sims[0], stems, i, count, max_frames, nl,
+            simulate_stem_batch(sims[0], stems, i, count, max_frames, nl,
                                 [&](GateId g) { return ties.is_tied(g); }, w, lane_of);
             std::size_t done = count;
             for (std::size_t p = 0; p < count; ++p) {
                 if (!observe_stem(i + p)) return false;
                 if (lane_of[p] < 0) continue;
                 const std::uint64_t v0 = ties.version();
-                extract_batched_stem(nl, stems[i + p],
-                                     w.lane_res[static_cast<std::size_t>(lane_of[p])],
-                                     w.lane_res[static_cast<std::size_t>(lane_of[p]) + 1],
-                                     max_frames, w.scratch, ctx);
+                extract_stem(nl, stems[i + p],
+                             w.lane_res[static_cast<std::size_t>(lane_of[p])],
+                             w.lane_res[static_cast<std::size_t>(lane_of[p]) + 1],
+                             max_frames, w.scratch, ctx);
                 ++out.stems_processed;
                 if (ties.version() != v0) {
                     done = p + 1;  // successors were simulated pre-tie
@@ -445,7 +396,7 @@ SingleNodeOutcome run_batched(const Netlist& nl,
         if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::WorkItem);
         BatchScratch& w = ws[worker];
         std::array<int, kMaxBatchStems> lane_of{};
-        simulate_stem_batch(batch_sims[worker], stems, base, count, max_frames, nl,
+        simulate_stem_batch(sims[worker], stems, base, count, max_frames, nl,
                             [&](GateId g) { return ties.is_tied(g); }, w, lane_of);
         for (std::size_t p = 0; p < count; ++p) {
             StemDelta& delta = d.deltas[p];
@@ -453,10 +404,10 @@ SingleNodeOutcome run_batched(const Netlist& nl,
             d.computed = p + 1;
             if (lane_of[p] < 0) continue;  // skipped; processed stays 0
             SpecCtx ctx{ties, w.overlay, w.overlay_touched, delta};
-            extract_batched_stem(nl, stems[base + p],
-                                 w.lane_res[static_cast<std::size_t>(lane_of[p])],
-                                 w.lane_res[static_cast<std::size_t>(lane_of[p]) + 1],
-                                 max_frames, w.scratch, ctx);
+            extract_stem(nl, stems[base + p],
+                         w.lane_res[static_cast<std::size_t>(lane_of[p])],
+                         w.lane_res[static_cast<std::size_t>(lane_of[p]) + 1],
+                         max_frames, w.scratch, ctx);
             for (const GateId g : w.overlay_touched) w.overlay[g] = 0;
             w.overlay_touched.clear();
             d.processed[p] = 1;
@@ -486,102 +437,6 @@ SingleNodeOutcome run_batched(const Netlist& nl,
     };
     exec::speculate_batches(workers > 1 ? env.pool : nullptr, n, bs, sopt, prepare,
                             compute, observe_stem, stale, apply, recompute_rest, workers);
-    return out;
-}
-
-}  // namespace
-
-SingleNodeOutcome single_node_learning(const Netlist& nl,
-                                       std::span<sim::FrameSimulator> sims,
-                                       std::span<const GateId> stems,
-                                       std::uint32_t max_frames, TieSet& ties,
-                                       ImplicationDB& db, StemRecords& records,
-                                       ProgressFnPtr progress, const LearnExecEnv& env,
-                                       std::span<sim::BatchFrameSimulator> batch_sims,
-                                       std::size_t batch_stems) {
-    unsigned workers = env.pool != nullptr ? env.pool->size() : 1;
-    if (env.max_workers != 0) workers = std::min(workers, env.max_workers);
-    workers = std::min<unsigned>(workers, static_cast<unsigned>(sims.size()));
-
-    if (batch_stems != 0 && !batch_sims.empty() && !stems.empty()) {
-        workers = std::min<unsigned>(workers, static_cast<unsigned>(batch_sims.size()));
-        return run_batched(nl, batch_sims, stems, max_frames, batch_stems, ties, db,
-                           records, progress, env, std::max(1u, workers));
-    }
-
-    if (workers <= 1 || stems.size() < 2) {
-        return run_serial(nl, sims[0], stems, max_frames, ties, db, records, progress,
-                          env);
-    }
-
-    SingleNodeOutcome out;
-    const exec::SpeculateOptions sopt;
-    struct WorkerScratch {
-        ExtractScratch scratch;
-        std::vector<std::uint8_t> overlay;
-        std::vector<GateId> overlay_touched;
-    };
-    std::vector<WorkerScratch> ws(workers);
-    for (WorkerScratch& w : ws) w.overlay.assign(nl.size(), 0);
-    std::vector<StemDelta> slots(exec::resolved_max_window(sopt, workers));
-
-    std::uint64_t dispatch_version = 0;
-    std::size_t next_progress = 0;
-
-    auto prepare = [&](std::size_t, std::size_t) { dispatch_version = ties.version(); };
-    auto compute = [&](unsigned worker, std::size_t item, std::size_t slot) {
-        StemDelta& d = slots[slot];
-        d.clear();
-        // Fast abort: a requested stop means the next in-order commit Stops.
-        if ((env.cancel != nullptr && env.cancel->requested()) ||
-            (env.budget != nullptr && env.budget->deadline_exceeded()))
-            return;
-        if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::WorkItem);
-        WorkerScratch& w = ws[worker];
-        SpecCtx ctx{ties, w.overlay, w.overlay_touched, d};
-        d.processed = process_stem(nl, sims[worker], stems[item], max_frames, w.scratch, ctx);
-        for (const GateId g : w.overlay_touched) w.overlay[g] = 0;
-        w.overlay_touched.clear();
-    };
-    auto commit = [&](std::size_t item, std::size_t slot) -> exec::Commit {
-        // Poll before the dedup (see run_batched::observe_stem): sticky stop
-        // conditions must Stop a retried item whose compute fast-aborted.
-        const exec::RunStatus st = exec::poll_point(env.cancel, env.budget);
-        if (st != exec::RunStatus::Completed) {
-            out.stop = st;
-            out.next_index = item;
-            return exec::Commit::Stop;
-        }
-        if (item >= next_progress) {
-            // First touch of this stem: the exact serial observation point
-            // (once per stem, in order, with all earlier stems committed).
-            if (progress != nullptr && *progress && !(*progress)(item, stems.size())) {
-                out.stop = exec::RunStatus::Cancelled;
-                out.next_index = item;
-                return exec::Commit::Stop;
-            }
-            if (env.budget != nullptr) env.budget->note_item();
-            next_progress = item + 1;
-            out.next_index = next_progress;
-        }
-        if (ties.version() != dispatch_version) return exec::Commit::Retry;
-        const StemDelta& d = slots[slot];
-        if (!d.processed) return exec::Commit::Done;
-        if (env.failpoint != nullptr) env.failpoint->poll(exec::FailSite::SpecCommit);
-        ++out.stems_processed;
-        for (const StemDelta::Tie& t : d.ties) {
-            ties.set(t.gate, t.value, t.cycle);
-            ++out.ties_found;
-        }
-        if (d.stem_conflict) ++out.stem_ties;
-        for (const StemDelta::Rec& r : d.records) records.add(r.node, r.stem, r.offset);
-        for (const StemDelta::Rel& r : d.relations) {
-            if (db.add(r.lhs, r.rhs, r.frame)) ++out.relations_added;
-        }
-        return exec::Commit::Done;
-    };
-    exec::speculate_ordered(env.pool, stems.size(), sopt, prepare, compute, commit,
-                            workers);
     return out;
 }
 

@@ -498,15 +498,6 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
         acfg.compact = true;
         acfg.fill = *parsed;
     }
-    // Result-affecting strategy keys bypass the warm snapshot path the same
-    // way non-default `sat_frames`/`frames` do on learn: the request runs
-    // self-contained (fresh learn, no promotion), so the cache only ever
-    // holds default-configuration artifacts.
-    const bool default_strategy =
-        acfg.order == guide::OrderStrategy::Index &&
-        acfg.guidance == guide::Guidance::None && acfg.rand_warmup == 0 &&
-        !acfg.compact;
-
     InflightGuard inflight(*this, id);
     const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
     api::SessionConfig scfg;
@@ -517,14 +508,16 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
     api::Session session(r.entry.design, std::move(scfg));
 
     // Warm path: reuse the cache entry's learned snapshot (no re-learn).
-    // Cold: the Session learns on demand; promote that result for later
-    // requests when it completed.
-    const bool warm = r.entry.learned != nullptr && default_strategy;
+    // Cold: the Session learns on demand with the default LearnConfig — the
+    // config cmd_learn promotes — and that result is promoted for later
+    // requests when it completed. Learning does not depend on the ATPG
+    // strategy keys, so every request shares the one snapshot.
+    const bool warm = r.entry.learned != nullptr;
     if (acfg.mode != atpg::LearnMode::None) {
         if (warm) session.use_learned(r.entry.learned);
         else {
             const core::LearnResult& learned = session.learn();
-            if (learned.outcome.ok() && default_strategy) {
+            if (learned.outcome.ok()) {
                 const std::shared_ptr<const core::LearnedSnapshot> snap =
                     session.freeze_learned();
                 cache_.attach_learned(r.entry.digest, snap);

@@ -1,8 +1,7 @@
 // Wall-clock governance on a real workload (gen5378, the paper's s5378
 // stand-in): a deadline-bounded learn() must stop promptly and return a
 // usable partial result, and a budgeted run plus a checkpointed resume must
-// reproduce the one-shot goldens bit-identically at every thread count and
-// batch width. Kept out of the TSan job: gen5378 is too large to simulate
+// reproduce the one-shot goldens bit-identically at every thread count. Kept out of the TSan job: gen5378 is too large to simulate
 // under TSan's slowdown (the small-circuit robustness_test covers the same
 // code paths there).
 
@@ -29,11 +28,19 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
     const netlist::Netlist nl = workload::suite_circuit("gen5378");
     const netlist::Topology topo(nl);
 
-    // A full serial pass takes ~1s in Release; 100ms cuts it off mid-stream.
+    // A full pass takes ~0.15s in Release, the first ~0.09s of it in the
+    // single-node pass; the deadline must cut it off mid-stream in that
+    // pass. Debug and instrumented builds run many times slower, so they get
+    // a later deadline (under ASan the equivalence phase before the first
+    // stem boundary alone takes ~90ms) and a generous stop allowance.
+#ifdef NDEBUG
+    constexpr long kDeadlineMs = 40;
+#else
+    constexpr long kDeadlineMs = 200;
+#endif
     LearnConfig cfg;
     cfg.threads = 1;
-    cfg.batch_lanes = 0;
-    cfg.budget.deadline = std::chrono::milliseconds(100);
+    cfg.budget.deadline = std::chrono::milliseconds(kDeadlineMs);
 
     const auto t0 = std::chrono::steady_clock::now();
     const LearnResult r = learn(nl, topo, cfg);
@@ -45,19 +52,19 @@ TEST(Governance, DeadlineStopsPromptlyWithUsablePartialResult) {
         << "deadline? rebalance the test budget";
     EXPECT_EQ(r.outcome.diagnostic, "wall-clock deadline");
     // The acceptance bound: stop within 50ms of the deadline. Polling happens
-    // at stem boundaries, so the tolerance is one work item plus scheduling
-    // noise; debug/instrumented builds get a generous allowance.
+    // at stem boundaries, so the tolerance is one 32-stem batch plus
+    // scheduling noise; debug/instrumented builds get a generous allowance.
 #ifdef NDEBUG
     constexpr long kToleranceMs = 50;
 #else
     constexpr long kToleranceMs = 1000;
 #endif
-    EXPECT_LE(elapsed.count(), 100 + kToleranceMs);
+    EXPECT_LE(elapsed.count(), kDeadlineMs + kToleranceMs);
 
     // The partial result is usable: a sound prefix with a resume cursor,
-    // flagged for report printers.
+    // stopped inside the single-node pass.
     EXPECT_TRUE(r.cursor.valid);
-    EXPECT_TRUE(r.stats.cancelled);
+    EXPECT_FALSE(r.cursor.in_multi);
     EXPECT_GT(r.stats.stems_processed, 0u);
     EXPECT_LT(r.stats.stems_processed, r.stats.stems);
 }
@@ -68,7 +75,6 @@ TEST(Governance, BudgetedRunPlusResumeMatchesOneShotAcrossExecConfigs) {
 
     LearnConfig serial;
     serial.threads = 1;
-    serial.batch_lanes = 0;
     const LearnResult golden = learn(nl, topo, serial);
     ASSERT_TRUE(golden.outcome.ok());
 
@@ -96,24 +102,19 @@ TEST(Governance, BudgetedRunPlusResumeMatchesOneShotAcrossExecConfigs) {
 
     bool first = true;
     for (const unsigned threads : {1u, 2u, 8u}) {
-        for (const std::size_t lanes : {std::size_t{0}, std::size_t{64}}) {
-            LearnConfig cfg;
-            cfg.threads = threads;
-            cfg.batch_lanes = lanes;
-            const LearnResult resumed =
-                resume_learn(nl, topo, cfg, first ? reloaded : ckpt);
-            first = false;
-            const std::string ctx =
-                "threads=" + std::to_string(threads) + " lanes=" + std::to_string(lanes);
-            EXPECT_TRUE(resumed.outcome.ok()) << ctx;
-            EXPECT_EQ(relation_hash(resumed.db), relation_hash(golden.db)) << ctx;
-            EXPECT_EQ(resumed.db.size(), golden.db.size()) << ctx;
-            EXPECT_EQ(resumed.ties.dense(), golden.ties.dense()) << ctx;
-            EXPECT_EQ(resumed.ties.dense_cycles(), golden.ties.dense_cycles()) << ctx;
-            EXPECT_EQ(resumed.stats.multi_relations, golden.stats.multi_relations) << ctx;
-            EXPECT_EQ(resumed.stats.multi_ties, golden.stats.multi_ties) << ctx;
-            EXPECT_EQ(resumed.stats.stems_processed, golden.stats.stems_processed) << ctx;
-        }
+        LearnConfig cfg;
+        cfg.threads = threads;
+        const LearnResult resumed = resume_learn(nl, topo, cfg, first ? reloaded : ckpt);
+        first = false;
+        const std::string ctx = "threads=" + std::to_string(threads);
+        EXPECT_TRUE(resumed.outcome.ok()) << ctx;
+        EXPECT_EQ(relation_hash(resumed.db), relation_hash(golden.db)) << ctx;
+        EXPECT_EQ(resumed.db.size(), golden.db.size()) << ctx;
+        EXPECT_EQ(resumed.ties.dense(), golden.ties.dense()) << ctx;
+        EXPECT_EQ(resumed.ties.dense_cycles(), golden.ties.dense_cycles()) << ctx;
+        EXPECT_EQ(resumed.stats.multi_relations, golden.stats.multi_relations) << ctx;
+        EXPECT_EQ(resumed.stats.multi_ties, golden.stats.multi_ties) << ctx;
+        EXPECT_EQ(resumed.stats.stems_processed, golden.stats.stems_processed) << ctx;
     }
 }
 

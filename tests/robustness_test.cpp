@@ -8,8 +8,8 @@
 // deadlock, (b) leave the shared learned state (db / ties) a sound, intact
 // prefix, and (c) never poison later runs: a clean re-run on the same
 // engine state reproduces the untouched goldens bit for bit. Checkpointed
-// resumes must converge to the exact one-shot result at any thread count
-// and batch width. This suite runs under the ASan and TSan CI jobs.
+// resumes must converge to the exact one-shot result at any thread count.
+// This suite runs under the ASan and TSan CI jobs.
 
 #include "api/session.hpp"
 #include "core/db_io.hpp"
@@ -27,7 +27,6 @@
 #include <new>
 #include <sstream>
 #include <thread>
-#include <tuple>
 #include <vector>
 
 namespace seqlearn::core {
@@ -41,10 +40,9 @@ using exec::RunStatus;
 // relation_hash comes from the library (core/impl_db.hpp) so these
 // robustness/governance digests stay pinned to the serving protocol's.
 
-LearnConfig exec_cfg(unsigned threads, std::size_t lanes) {
+LearnConfig exec_cfg(unsigned threads) {
     LearnConfig cfg;
     cfg.threads = threads;
-    cfg.batch_lanes = lanes;
     return cfg;
 }
 
@@ -97,25 +95,24 @@ TEST(FailurePoint, InjectedFaultNamesItsSite) {
 
 TEST(FaultInjection, WorkItemFailureYieldsFailedOutcomeAndCleanRerun) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    const LearnResult golden = testing::learn(nl, exec_cfg(1, 0));
+    const LearnResult golden = testing::learn(nl, exec_cfg(1));
     ASSERT_TRUE(golden.outcome.ok());
 
-    // In scalar mode the work-item site is polled per stem (arm the 3rd); in
-    // batched mode it is polled per batch, and this circuit's whole pass fits
-    // one batch, so the 1st arrival is the one that exists there.
-    for (const auto& [threads, lanes, nth] :
-         {std::tuple<unsigned, std::size_t, std::size_t>{1, 0, 3}, {4, 0, 3}, {4, 64, 1}}) {
+    // The work-item site is polled per batch. This circuit's single-node
+    // pass fits one 32-stem batch, so the 1st arrival fails it; the 2nd is
+    // the multiple-node pass's batch.
+    for (const auto& [threads, nth] :
+         {std::pair<unsigned, std::size_t>{1, 1}, {1, 2}, {4, 1}, {4, 2}}) {
         FailurePoint fp;
         fp.arm(FailSite::WorkItem, nth);
-        LearnConfig cfg = exec_cfg(threads, lanes);
+        LearnConfig cfg = exec_cfg(threads);
         cfg.failpoint = &fp;
         const LearnResult r = testing::learn(nl, cfg);
         const std::string ctx =
-            "threads=" + std::to_string(threads) + " lanes=" + std::to_string(lanes);
+            "threads=" + std::to_string(threads) + " nth=" + std::to_string(nth);
         EXPECT_EQ(r.outcome.status, RunStatus::Failed) << ctx;
         EXPECT_FALSE(r.outcome.diagnostic.empty()) << ctx;
         EXPECT_FALSE(r.cursor.valid) << ctx;  // unwound: stop point unknown
-        EXPECT_TRUE(r.stats.cancelled) << ctx;
         // The committed prefix is sound: every relation it holds appears in
         // the complete run's database.
         const auto all = golden.db.relations();
@@ -124,42 +121,42 @@ TEST(FaultInjection, WorkItemFailureYieldsFailedOutcomeAndCleanRerun) {
                 << ctx << ": injected-failure prefix learned a bogus relation";
         }
         // A clean re-run reproduces the untouched golden exactly.
-        const LearnResult clean = testing::learn(nl, exec_cfg(threads, lanes));
+        const LearnResult clean = testing::learn(nl, exec_cfg(threads));
         expect_same_result(clean, golden, ctx + " (clean rerun)");
     }
 }
 
 TEST(FaultInjection, SpecCommitFailureYieldsFailedOutcome) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    const LearnResult golden = testing::learn(nl, exec_cfg(1, 0));
+    const LearnResult golden = testing::learn(nl, exec_cfg(1));
 
-    for (const std::size_t lanes : {std::size_t{0}, std::size_t{64}}) {
+    for (const unsigned threads : {1u, 4u}) {
         FailurePoint fp;
         fp.arm(FailSite::SpecCommit, 2);
-        LearnConfig cfg = exec_cfg(4, lanes);
+        LearnConfig cfg = exec_cfg(threads);
         cfg.failpoint = &fp;
         const LearnResult r = testing::learn(nl, cfg);
-        const std::string ctx = "lanes=" + std::to_string(lanes);
+        const std::string ctx = "threads=" + std::to_string(threads);
         EXPECT_EQ(r.outcome.status, RunStatus::Failed) << ctx;
         EXPECT_GE(fp.hits(FailSite::SpecCommit), 2u) << ctx;
-        const LearnResult clean = testing::learn(nl, exec_cfg(4, lanes));
+        const LearnResult clean = testing::learn(nl, exec_cfg(threads));
         expect_same_result(clean, golden, ctx + " (clean rerun)");
     }
 }
 
 TEST(FaultInjection, BatchRecomputeFailureYieldsFailedOutcome) {
     // The recompute site is only reached when a speculative batch goes stale
-    // (a tie committed mid-window), so sweep tie-rich seeds and both worker
+    // (a tie committed mid-batch), so sweep tie-rich seeds and worker
     // counts; each firing must surface as Failed, and at least one cell of
     // the sweep must actually fire (the site is not dead).
     bool any_fired = false;
     for (const std::uint64_t seed : {21ULL, 33ULL, 55ULL, 77ULL}) {
         const netlist::Netlist nl = testing::random_circuit(seed, 6, 5, 30);
-        const LearnResult golden = testing::learn(nl, exec_cfg(1, 0));
-        for (const unsigned threads : {2u, 4u}) {
+        const LearnResult golden = testing::learn(nl, exec_cfg(1));
+        for (const unsigned threads : {1u, 2u, 4u}) {
             FailurePoint fp;
             fp.arm(FailSite::BatchRecompute, 1);
-            LearnConfig cfg = exec_cfg(threads, 64);
+            LearnConfig cfg = exec_cfg(threads);
             cfg.failpoint = &fp;
             const LearnResult r = testing::learn(nl, cfg);
             const std::string ctx =
@@ -167,7 +164,7 @@ TEST(FaultInjection, BatchRecomputeFailureYieldsFailedOutcome) {
             if (fp.hits(FailSite::BatchRecompute) > 0) {
                 any_fired = true;
                 EXPECT_EQ(r.outcome.status, RunStatus::Failed) << ctx;
-                const LearnResult clean = testing::learn(nl, exec_cfg(threads, 64));
+                const LearnResult clean = testing::learn(nl, exec_cfg(threads));
                 expect_same_result(clean, golden, ctx + " (clean rerun)");
             } else {
                 EXPECT_TRUE(r.outcome.ok()) << ctx;
@@ -182,7 +179,7 @@ TEST(FaultInjection, SimulatedAllocationFailureIsCaptured) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     FailurePoint fp;
     fp.arm(FailSite::WorkItem, 1, FailKind::BadAlloc);
-    LearnConfig cfg = exec_cfg(4, 64);
+    LearnConfig cfg = exec_cfg(4);
     cfg.failpoint = &fp;
     const LearnResult r = testing::learn(nl, cfg);
     EXPECT_EQ(r.outcome.status, RunStatus::Failed);
@@ -203,7 +200,7 @@ TEST(FaultInjection, AtpgCampaignFailureIsCapturedWithStateIntact) {
         fp.arm(FailSite::WorkItem, 2);
         const api::AtpgReport& broken = session.atpg(acfg);
         EXPECT_EQ(broken.outcome.run.status, RunStatus::Failed) << "threads=" << threads;
-        EXPECT_TRUE(broken.outcome.cancelled) << "threads=" << threads;
+        EXPECT_FALSE(broken.outcome.run.ok()) << "threads=" << threads;
 
         // The session survives: the no-arg call re-runs (stale early-ended
         // campaign) with the point disarmed and completes cleanly.
@@ -226,7 +223,7 @@ TEST(FaultInjection, FaultSimValidationFailureIsCaptured) {
     fp.arm(FailSite::WorkItem, 1);
     const api::FaultSimReport broken = session.fault_sim();
     EXPECT_EQ(broken.outcome.status, RunStatus::Failed);
-    EXPECT_TRUE(broken.cancelled);
+    EXPECT_FALSE(broken.outcome.ok());
     EXPECT_EQ(broken.sequences, 0u);
 
     // Governance hooks were cleared after the failed run (the Budget they
@@ -243,7 +240,7 @@ TEST(FaultInjection, FaultSimValidationFailureIsCaptured) {
 
 TEST(SessionReuse, CancelledLearnIsRerunNotServedStale) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    const LearnResult golden = testing::learn(nl, exec_cfg(1, 0));
+    const LearnResult golden = testing::learn(nl, exec_cfg(1));
 
     int calls = 0;
     api::SessionConfig scfg;
@@ -257,7 +254,7 @@ TEST(SessionReuse, CancelledLearnIsRerunNotServedStale) {
 
     const core::LearnResult& partial = session.learn();
     EXPECT_EQ(partial.outcome.status, RunStatus::Cancelled);
-    EXPECT_TRUE(partial.stats.cancelled);
+    EXPECT_FALSE(partial.outcome.ok());
     EXPECT_LT(partial.stats.stems_processed, golden.stats.stems_processed);
 
     // Before the fix this returned the cancelled partial result unchanged.
@@ -273,7 +270,7 @@ TEST(SessionReuse, CancelledLearnIsRerunNotServedStale) {
 TEST(SessionReuse, BudgetStoppedLearnIsRerunByNoArgCall) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     api::Session session{netlist::Netlist(nl)};
-    LearnConfig budgeted = exec_cfg(1, 0);
+    LearnConfig budgeted = exec_cfg(1);
     budgeted.budget.max_items = 3;
     const core::LearnResult& partial = session.learn(budgeted);
     EXPECT_EQ(partial.outcome.status, RunStatus::LimitReached);
@@ -285,9 +282,9 @@ TEST(SessionReuse, BudgetStoppedLearnIsRerunByNoArgCall) {
 // ---------------------------------------------------------------------------
 // Deterministic budgets and checkpoint/resume.
 
-TEST(Budget, ItemLimitStopsAtTheSameUnitAtAnyThreadCountOrBatchWidth) {
+TEST(Budget, ItemLimitStopsAtTheSameUnitAtAnyThreadCount) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    LearnConfig serial = exec_cfg(1, 0);
+    LearnConfig serial = exec_cfg(1);
     serial.budget.max_items = 7;
     const LearnResult want = core::learn(nl, netlist::Topology(nl), serial);
     ASSERT_EQ(want.outcome.status, RunStatus::LimitReached);
@@ -295,28 +292,25 @@ TEST(Budget, ItemLimitStopsAtTheSameUnitAtAnyThreadCountOrBatchWidth) {
     EXPECT_EQ(want.stats.stems_processed, 7u);
 
     for (const unsigned threads : {2u, 8u}) {
-        for (const std::size_t lanes : {std::size_t{0}, std::size_t{64}}) {
-            LearnConfig cfg = exec_cfg(threads, lanes);
-            cfg.budget.max_items = 7;
-            const LearnResult got = core::learn(nl, netlist::Topology(nl), cfg);
-            const std::string ctx =
-                "threads=" + std::to_string(threads) + " lanes=" + std::to_string(lanes);
-            EXPECT_EQ(got.outcome.status, RunStatus::LimitReached) << ctx;
-            EXPECT_EQ(got.cursor.unit, want.cursor.unit) << ctx;
-            EXPECT_EQ(got.cursor.in_multi, want.cursor.in_multi) << ctx;
-            EXPECT_EQ(got.cursor.class_index, want.cursor.class_index) << ctx;
-            EXPECT_EQ(got.stats.stems_processed, want.stats.stems_processed) << ctx;
-            // The partial result is bit-identical to the serial prefix.
-            EXPECT_EQ(relation_hash(got.db), relation_hash(want.db)) << ctx;
-            EXPECT_EQ(got.ties.dense(), want.ties.dense()) << ctx;
-        }
+        LearnConfig cfg = exec_cfg(threads);
+        cfg.budget.max_items = 7;
+        const LearnResult got = core::learn(nl, netlist::Topology(nl), cfg);
+        const std::string ctx = "threads=" + std::to_string(threads);
+        EXPECT_EQ(got.outcome.status, RunStatus::LimitReached) << ctx;
+        EXPECT_EQ(got.cursor.unit, want.cursor.unit) << ctx;
+        EXPECT_EQ(got.cursor.in_multi, want.cursor.in_multi) << ctx;
+        EXPECT_EQ(got.cursor.class_index, want.cursor.class_index) << ctx;
+        EXPECT_EQ(got.stats.stems_processed, want.stats.stems_processed) << ctx;
+        // The partial result is bit-identical to the serial prefix.
+        EXPECT_EQ(relation_hash(got.db), relation_hash(want.db)) << ctx;
+        EXPECT_EQ(got.ties.dense(), want.ties.dense()) << ctx;
     }
 }
 
 TEST(Checkpoint, ResumeConvergesToOneShotAtEveryStopBoundary) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     const netlist::Topology topo(nl);
-    const LearnConfig base = exec_cfg(1, 0);
+    const LearnConfig base = exec_cfg(1);
     const LearnResult golden = core::learn(nl, topo, base);
     ASSERT_TRUE(golden.outcome.ok());
 
@@ -345,7 +339,7 @@ TEST(Checkpoint, ResumeConvergesToOneShotAtEveryStopBoundary) {
 TEST(Checkpoint, TextRoundTripPreservesTheResumeExactly) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     const netlist::Topology topo(nl);
-    const LearnConfig base = exec_cfg(1, 0);
+    const LearnConfig base = exec_cfg(1);
     const LearnResult golden = core::learn(nl, topo, base);
 
     LearnConfig budgeted = base;
@@ -374,30 +368,26 @@ TEST(Checkpoint, TextRoundTripPreservesTheResumeExactly) {
 TEST(Checkpoint, ResumeUnderDifferentExecutionConfigMatchesGolden) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     const netlist::Topology topo(nl);
-    const LearnResult golden = core::learn(nl, topo, exec_cfg(1, 0));
+    const LearnResult golden = core::learn(nl, topo, exec_cfg(1));
 
-    LearnConfig budgeted = exec_cfg(1, 0);
+    LearnConfig budgeted = exec_cfg(1);
     budgeted.budget.max_items = 11;
     const LearnResult partial = core::learn(nl, topo, budgeted);
     ASSERT_TRUE(partial.cursor.valid);
     const LearnCheckpoint ckpt = make_checkpoint(nl, partial);
 
-    // threads/batch_lanes/budget are execution-only: the digest admits them
-    // and the resumed result is still bit-identical.
-    for (const auto& [threads, lanes] :
-         {std::pair<unsigned, std::size_t>{8, 0}, {2, 64}, {8, 64}}) {
-        const LearnResult resumed =
-            resume_learn(nl, topo, exec_cfg(threads, lanes), ckpt);
-        expect_same_result(resumed, golden,
-                           "threads=" + std::to_string(threads) +
-                               " lanes=" + std::to_string(lanes));
+    // threads/budget are execution-only: the digest admits them and the
+    // resumed result is still bit-identical.
+    for (const unsigned threads : {2u, 8u}) {
+        const LearnResult resumed = resume_learn(nl, topo, exec_cfg(threads), ckpt);
+        expect_same_result(resumed, golden, "threads=" + std::to_string(threads));
     }
 }
 
 TEST(Checkpoint, MismatchesAreRejected) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
     const netlist::Topology topo(nl);
-    const LearnConfig base = exec_cfg(1, 0);
+    const LearnConfig base = exec_cfg(1);
 
     // A completed run is not checkpointable.
     const LearnResult complete = core::learn(nl, topo, base);
@@ -421,16 +411,15 @@ TEST(Checkpoint, MismatchesAreRejected) {
 
 TEST(Checkpoint, SessionResumeApiRoundTrips) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    const LearnResult golden = testing::learn(nl, exec_cfg(1, 0));
+    const LearnResult golden = testing::learn(nl, exec_cfg(1));
 
     api::SessionConfig scfg;
     scfg.threads = 1;
-    scfg.learn.batch_lanes = 0;
     api::Session session(netlist::Netlist(nl), std::move(scfg));
     std::stringstream none;
     EXPECT_THROW(session.save_checkpoint(none), std::logic_error);  // nothing resumable
 
-    LearnConfig budgeted = exec_cfg(1, 0);
+    LearnConfig budgeted = exec_cfg(1);
     budgeted.budget.max_items = 6;
     const core::LearnResult& partial = session.learn(budgeted);
     ASSERT_TRUE(partial.cursor.valid);
@@ -439,7 +428,6 @@ TEST(Checkpoint, SessionResumeApiRoundTrips) {
 
     api::SessionConfig scfg2;
     scfg2.threads = 1;
-    scfg2.learn.batch_lanes = 0;
     api::Session fresh(netlist::Netlist(nl), std::move(scfg2));
     const core::LearnResult& resumed = fresh.resume_learn(ss);
     EXPECT_TRUE(resumed.outcome.ok());
@@ -453,11 +441,9 @@ TEST(Checkpoint, SessionResumeApiRoundTrips) {
 
 TEST(Cancellation, MidRunCancelFromAnotherThreadStopsAllExecPaths) {
     const netlist::Netlist nl = testing::random_circuit(21, 6, 5, 30);
-    for (const auto& [threads, lanes] :
-         {std::pair<unsigned, std::size_t>{4, 0}, {4, 64}}) {
+    for (const unsigned threads : {1u, 4u}) {
         api::SessionConfig scfg;
         scfg.threads = threads;
-        scfg.learn.batch_lanes = lanes;
         api::Session session{netlist::Netlist(nl), std::move(scfg)};
         std::thread canceller([&session] { session.request_cancel(); });
         const core::LearnResult& r = session.learn();

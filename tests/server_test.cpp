@@ -255,6 +255,50 @@ TEST(ServerDeterminism, WarmSnapshotServesIdenticalHashes) {
     srv.stop();
 }
 
+// Learning does not depend on the ATPG strategy keys, so a guided request
+// on a warm design rides the cached snapshot, and the same request on a
+// fresh service learns cold, promotes the snapshot, and lands on the same
+// campaign.
+TEST(ServerDeterminism, GuidedAtpgOnWarmDesignReusesSnapshot) {
+    const std::string bench =
+        netlist::write_bench_string(workload::suite_circuit("fig1x"));
+    const auto rpc = [](server::Service& svc, const std::string& frame) {
+        auto doc = JsonValue::parse(svc.handle(frame), nullptr);
+        EXPECT_TRUE(doc.has_value()) << frame;
+        return doc ? *doc : JsonValue();
+    };
+    const auto guided = [](const std::string& digest) {
+        return "{\"cmd\": \"atpg\", \"design\": \"" + digest +
+               "\", \"order\": \"scoap_hard_first\", \"guidance\": \"scoap\", "
+               "\"rand_warmup\": 8, \"fill\": \"zero\", \"backtracks\": 200}";
+    };
+
+    server::Service warm_svc{server::ServiceConfig{}};
+    const std::string digest = rpc(warm_svc, load_frame(bench, "fig1x")).get_string("design");
+    ASSERT_FALSE(digest.empty());
+    const JsonValue learned =
+        rpc(warm_svc, "{\"cmd\": \"learn\", \"design\": \"" + digest + "\"}");
+    ASSERT_TRUE(learned.get_bool("ok"));
+    const JsonValue warm = rpc(warm_svc, guided(digest));
+    ASSERT_TRUE(warm.get_bool("ok"));
+    EXPECT_TRUE(warm.get_bool("warm"));
+    EXPECT_EQ(outcome_status(warm), "completed");
+
+    server::Service cold_svc{server::ServiceConfig{}};
+    ASSERT_EQ(rpc(cold_svc, load_frame(bench, "fig1x")).get_string("design"), digest);
+    const JsonValue cold = rpc(cold_svc, guided(digest));
+    ASSERT_TRUE(cold.get_bool("ok"));
+    EXPECT_FALSE(cold.get_bool("warm"));
+    EXPECT_FALSE(warm.get_string("campaign_digest").empty());
+    EXPECT_EQ(warm.get_string("campaign_digest"), cold.get_string("campaign_digest"));
+
+    // The cold guided request promoted its learned result.
+    const JsonValue relearn =
+        rpc(cold_svc, "{\"cmd\": \"learn\", \"design\": \"" + digest + "\"}");
+    EXPECT_TRUE(relearn.get_bool("warm"));
+    EXPECT_EQ(relearn.get_string("relation_hash"), learned.get_string("relation_hash"));
+}
+
 // --- cache eviction under a tight cap --------------------------------------
 
 TEST(ServerCache, EvictionUnderTightCapKeepsServing) {
