@@ -157,7 +157,7 @@ Row bench_fault_sim(const Netlist& nl, const netlist::Topology& topo, exec::Pool
     // drop_detected over the full collapsed list with 24-frame random
     // sequences — the validation hot path of every ATPG campaign; items =
     // faults simulated per pass. The simulator shares one CSR snapshot, the
-    // Session pattern; the mt row fans the 63-fault passes over the pool.
+    // Session pattern; the mt row fans the 255-fault passes over the pool.
     fault::FaultSimulator fsim(topo);
     if (pool != nullptr) fsim.set_executor(pool, threads);
     const fault::CollapsedFaults collapsed = fault::collapse(nl);

@@ -1,5 +1,5 @@
 // Micro-benchmarks of the simulation substrate: the event-driven learning
-// simulator, the 64-lane parallel-pattern simulator, and the 63-fault
+// simulator, the 64-lane parallel-pattern simulator, and the 255-fault
 // parallel fault simulator (vs. its serial equivalent — the ablation for
 // the PPSFP design choice).
 
@@ -65,7 +65,7 @@ sim::InputSequence random_sequence(const Netlist& nl, std::size_t len, util::Rng
     return seq;
 }
 
-void BM_FaultSimParallel63(benchmark::State& state) {
+void BM_FaultSimParallelPass(benchmark::State& state) {
     const Netlist& nl = bench_circuit();
     const netlist::Topology topo(nl);
     fault::FaultSimulator fsim(topo);
@@ -73,7 +73,7 @@ void BM_FaultSimParallel63(benchmark::State& state) {
     util::Rng rng(2);
     const auto seq = random_sequence(nl, 20, rng);
     const std::span<const fault::Fault> chunk(reps.data(),
-                                              std::min<std::size_t>(63, reps.size()));
+                                              std::min(fault::kFaultsPerPass, reps.size()));
     for (auto _ : state) {
         const auto det = fsim.run(seq, chunk);
         benchmark::DoNotOptimize(det.size());
@@ -81,7 +81,7 @@ void BM_FaultSimParallel63(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(chunk.size()));
 }
-BENCHMARK(BM_FaultSimParallel63);
+BENCHMARK(BM_FaultSimParallelPass);
 
 void BM_FaultSimSerial(benchmark::State& state) {
     const Netlist& nl = bench_circuit();
@@ -92,7 +92,7 @@ void BM_FaultSimSerial(benchmark::State& state) {
     const auto seq = random_sequence(nl, 20, rng);
     std::size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(fsim.detects(seq, reps[i % 63]));
+        benchmark::DoNotOptimize(fsim.detects(seq, reps[i % std::min(fault::kFaultsPerPass, reps.size())]));
         ++i;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

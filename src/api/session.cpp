@@ -239,7 +239,7 @@ FaultSimReport Session::fault_sim(std::span<const sim::InputSequence> tests,
     cancel_->reset();
     // Validation runs under the session-wide budget (it has no per-call
     // config of its own); the simulator additionally polls the same hooks
-    // at its internal 63-fault pass boundaries.
+    // at its internal pass boundaries.
     exec::Budget budget(cfg_.budget);
     exec::Budget* budget_ptr = cfg_.budget.any() ? &budget : nullptr;
     fsim.set_governance(cancel_.get(), budget_ptr, cfg_.failpoint);

@@ -1,31 +1,106 @@
 #include "fault/fault_sim.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <stdexcept>
 
 namespace seqlearn::fault {
 
-using logic::Pattern;
-using logic::pat_get;
+using logic::GateOp;
 using netlist::GateId;
 using netlist::Topology;
+
+namespace {
+
+constexpr std::uint64_t kAllOnes = ~0ULL;
+
+template <typename L>
+constexpr L broadcast(std::uint64_t ones, std::uint64_t zeros) noexcept {
+    L l{};
+    for (std::size_t w = 0; w < std::size(l.ones); ++w) {
+        l.ones[w] = ones;
+        l.zeros[w] = zeros;
+    }
+    return l;
+}
+
+template <typename L>
+L broadcast(Val3 v) noexcept {
+    switch (v) {
+        case Val3::Zero: return broadcast<L>(0, kAllOnes);
+        case Val3::One: return broadcast<L>(kAllOnes, 0);
+        case Val3::X: break;
+    }
+    return broadcast<L>(0, 0);
+}
+
+/// Force the lanes set in `f` (ones = stuck-at-1, zeros = stuck-at-0).
+template <typename L>
+void force(L& v, const L& f) noexcept {
+    for (std::size_t w = 0; w < std::size(v.ones); ++w) {
+        const std::uint64_t both = f.ones[w] | f.zeros[w];
+        v.ones[w] = (v.ones[w] & ~both) | f.ones[w];
+        v.zeros[w] = (v.zeros[w] & ~both) | f.zeros[w];
+    }
+}
+
+template <typename L>
+bool is_zero(const L& l) noexcept {
+    std::uint64_t any = 0;
+    for (std::size_t w = 0; w < std::size(l.ones); ++w) any |= l.ones[w] | l.zeros[w];
+    return any == 0;
+}
+
+/// Calls fn(j) for every fault j whose lane (j + 1) is set in `lanes`, in
+/// increasing j.
+template <typename Mask, typename Fn>
+void for_each_fault(const Mask& lanes, Fn&& fn) {
+    for (std::size_t w = 0; w < lanes.size(); ++w) {
+        for (std::uint64_t bits = lanes[w]; bits != 0; bits &= bits - 1)
+            fn(w * 64 + static_cast<std::size_t>(std::countr_zero(bits)) - 1);
+    }
+}
+
+}  // namespace
 
 FaultSimulator::FaultSimulator(const Topology& topo)
     : topo_(&topo),
       force_flags_(topo.size(), 0),
-      out_force1_(topo.size(), 0),
-      out_force0_(topo.size(), 0),
-      pin_force1_(topo.num_fanin_edges(), 0),
-      pin_force0_(topo.num_fanin_edges(), 0),
-      pats_(topo.size(), logic::kPatAllX),
-      outside_cone_(topo.size(), ~0ULL) {}
+      out_force_(topo.size(), Lanes{}),
+      pin_force_(topo.num_fanin_edges(), Lanes{}),
+      pats_(topo.size(), Lanes{}) {
+    for (const GateId g : topo.schedule()) {
+        if (!topo.is_input(g) && !topo.is_seq(g)) eval_order_.push_back(g);
+    }
+}
 
 void FaultSimulator::set_good_ties(const std::vector<Val3>* values,
-                                   const std::vector<std::uint32_t>* cycles) noexcept {
+                                   const std::vector<std::uint32_t>* cycles) {
+    for (const Tie& t : ties_) {
+        force_flags_[t.gate] &= static_cast<std::uint8_t>(~kTied);
+        tie_index_[t.gate] = -1;
+    }
+    ties_.clear();
     tie_values_ = values;
     tie_cycles_ = cycles;
-    if (values != nullptr && tie_index_.size() != topo_->size())
-        tie_index_.assign(topo_->size(), -1);
+    if (values != nullptr) {
+        const std::size_t n = topo_->size();
+        if (tie_index_.size() != n) tie_index_.assign(n, -1);
+        if (outside_cone_.size() != n) {
+            LaneMask all;
+            all.fill(kAllOnes);
+            outside_cone_.assign(n, all);
+        }
+        for (GateId g = 0; g < n; ++g) {
+            const Val3 v = (*values)[g];
+            if (v == Val3::X) continue;
+            tie_index_[g] = static_cast<std::int32_t>(ties_.size());
+            ties_.push_back({g, v, cycles ? (*cycles)[g] : 0});
+            force_flags_[g] |= kTied;
+        }
+    }
+    tie_lanes_.resize(ties_.size());
     // Worker clones must simulate the same good machine.
     for (const std::unique_ptr<FaultSimulator>& w : workers_) {
         w->set_good_ties(values, cycles);
@@ -40,27 +115,26 @@ void FaultSimulator::set_executor(exec::Pool* pool, unsigned max_workers) {
 
 void FaultSimulator::clear_forces() {
     for (const GateId g : forced_gates_) {
-        force_flags_[g] = 0;
-        out_force1_[g] = 0;
-        out_force0_[g] = 0;
+        force_flags_[g] &= kTied;
+        out_force_[g] = Lanes{};
     }
     forced_gates_.clear();
-    for (const std::uint32_t e : forced_edges_) {
-        pin_force1_[e] = 0;
-        pin_force0_[e] = 0;
-    }
+    for (const std::uint32_t e : forced_edges_) pin_force_[e] = Lanes{};
     forced_edges_.clear();
 }
 
-void FaultSimulator::mark_cone(GateId root, std::uint64_t lane_bit) {
+void FaultSimulator::mark_cone(GateId root, std::size_t lane) {
     // Forward reachability through both combinational and sequential sinks
     // (a latched fault effect persists across frames). The lane bit doubles
     // as the visited marker, so reconvergent regions are expanded once.
+    const std::size_t word = lane / 64;
+    const std::uint64_t bit = 1ULL << (lane % 64);
     auto clear_bit = [&](GateId g) -> bool {
-        std::uint64_t& m = outside_cone_[g];
-        if ((m & lane_bit) == 0) return false;
-        if (m == ~0ULL) cone_touched_.push_back(g);
-        m &= ~lane_bit;
+        LaneMask& m = outside_cone_[g];
+        if ((m[word] & bit) == 0) return false;
+        if (std::all_of(m.begin(), m.end(), [](std::uint64_t x) { return x == kAllOnes; }))
+            cone_touched_.push_back(g);
+        m[word] &= ~bit;
         return true;
     };
     clear_bit(root);
@@ -75,8 +149,69 @@ void FaultSimulator::mark_cone(GateId root, std::uint64_t lane_bit) {
     }
 }
 
-std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
-                                      std::span<const Fault> faults) {
+template <bool kPinForces>
+FaultSimulator::Lanes FaultSimulator::eval_gate(GateId g) const noexcept {
+    const Topology& topo = *topo_;
+    const auto fi = topo.fanins(g);
+    const std::size_t n = fi.size();
+    const Lanes* pin_force = kPinForces ? pin_force_.data() + topo.fanin_offset(g) : nullptr;
+    // Operand i as gate g sees it, pin faults applied.
+    auto operand = [&](std::size_t i) -> Lanes {
+        Lanes v = pats_[fi[i]];
+        if constexpr (kPinForces) force(v, pin_force[i]);
+        return v;
+    };
+    Lanes acc;
+    bool invert = false;
+    switch (topo.op(g)) {
+        case GateOp::Const0: return broadcast<Lanes>(0, kAllOnes);
+        case GateOp::Const1: return broadcast<Lanes>(kAllOnes, 0);
+        case GateOp::Not: invert = true; [[fallthrough]];
+        case GateOp::Buf:
+            acc = n == 0 ? Lanes{} : operand(0);
+            break;
+        case GateOp::Nand: invert = true; [[fallthrough]];
+        case GateOp::And:
+            acc = broadcast<Lanes>(kAllOnes, 0);
+            for (std::size_t i = 0; i < n; ++i) {
+                const Lanes v = operand(i);
+                for (std::size_t w = 0; w < kWords; ++w) {
+                    acc.ones[w] &= v.ones[w];
+                    acc.zeros[w] |= v.zeros[w];
+                }
+            }
+            break;
+        case GateOp::Nor: invert = true; [[fallthrough]];
+        case GateOp::Or:
+            acc = broadcast<Lanes>(0, kAllOnes);
+            for (std::size_t i = 0; i < n; ++i) {
+                const Lanes v = operand(i);
+                for (std::size_t w = 0; w < kWords; ++w) {
+                    acc.ones[w] |= v.ones[w];
+                    acc.zeros[w] &= v.zeros[w];
+                }
+            }
+            break;
+        case GateOp::Xnor: invert = true; [[fallthrough]];
+        case GateOp::Xor:
+            acc = broadcast<Lanes>(0, kAllOnes);
+            for (std::size_t i = 0; i < n; ++i) {
+                const Lanes v = operand(i);
+                for (std::size_t w = 0; w < kWords; ++w) {
+                    const std::uint64_t a1 = acc.ones[w], a0 = acc.zeros[w];
+                    acc.ones[w] = (a1 & v.zeros[w]) | (a0 & v.ones[w]);
+                    acc.zeros[w] = (a1 & v.ones[w]) | (a0 & v.zeros[w]);
+                }
+            }
+            break;
+        default: return Lanes{};
+    }
+    if (invert) std::swap(acc.ones, acc.zeros);
+    return acc;
+}
+
+FaultSimulator::LaneMask FaultSimulator::pass(const sim::InputSequence& seq,
+                                              std::span<const Fault> faults) {
     if (faults.size() > kFaultsPerPass)
         throw std::invalid_argument("FaultSimulator::run: too many faults for one pass");
     const Topology& topo = *topo_;
@@ -86,127 +221,123 @@ std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
     clear_forces();
     for (std::size_t j = 0; j < faults.size(); ++j) {
         const Fault& f = faults[j];
-        const std::uint64_t bit = 1ULL << (j + 1);
-        if (force_flags_[f.gate] == 0) forced_gates_.push_back(f.gate);
+        const std::size_t word = (j + 1) / 64;
+        const std::uint64_t bit = 1ULL << ((j + 1) % 64);
+        if ((force_flags_[f.gate] & (kOutForced | kPinForced)) == 0)
+            forced_gates_.push_back(f.gate);
+        Lanes* mask;
         if (f.pin == kOutputPin) {
             force_flags_[f.gate] |= kOutForced;
-            (f.stuck == Val3::One ? out_force1_ : out_force0_)[f.gate] |= bit;
+            mask = &out_force_[f.gate];
         } else {
             force_flags_[f.gate] |= kPinForced;
             const std::uint32_t edge =
                 topo.fanin_offset(f.gate) + static_cast<std::uint32_t>(f.pin);
-            if (pin_force1_[edge] == 0 && pin_force0_[edge] == 0)
-                forced_edges_.push_back(edge);
-            (f.stuck == Val3::One ? pin_force1_ : pin_force0_)[edge] |= bit;
+            if (is_zero(pin_force_[edge])) forced_edges_.push_back(edge);
+            mask = &pin_force_[edge];
         }
+        (f.stuck == Val3::One ? mask->ones : mask->zeros)[word] |= bit;
+    }
+
+    // Lanes in use: the good machine plus one per fault.
+    const std::size_t n_lanes = faults.size() + 1;
+    LaneMask used{};
+    for (std::size_t w = 0; w < kWords; ++w) {
+        const std::size_t lo = w * 64;
+        used[w] = n_lanes >= lo + 64 ? kAllOnes
+                  : n_lanes > lo     ? (1ULL << (n_lanes - lo)) - 1
+                                     : 0;
     }
 
     // Tie lanes: lane 0 always; faulty lanes only where the tied gate is
     // outside that fault's cone (there the machines agree line-for-line).
-    for (const TieLanes& t : tie_lanes_) tie_index_[t.gate] = -1;
-    tie_lanes_.clear();
-    if (tie_values_ != nullptr) {
-        for (const GateId g : cone_touched_) outside_cone_[g] = ~0ULL;
+    if (!ties_.empty()) {
+        for (const GateId g : cone_touched_) outside_cone_[g].fill(kAllOnes);
         cone_touched_.clear();
-        for (std::size_t j = 0; j < faults.size(); ++j) {
-            mark_cone(faults[j].gate, 1ULL << (j + 1));
-        }
-        const std::uint64_t used_lanes = faults.size() == 63
-                                             ? ~0ULL
-                                             : ((1ULL << (faults.size() + 1)) - 1);
-        for (GateId g = 0; g < topo.size(); ++g) {
-            const Val3 v = (*tie_values_)[g];
-            if (v == Val3::X) continue;
-            const std::uint64_t lanes = (outside_cone_[g] | 1ULL) & used_lanes;
-            tie_index_[g] = static_cast<std::int32_t>(tie_lanes_.size());
-            tie_lanes_.push_back({g, v == Val3::One ? lanes : 0, v == Val3::Zero ? lanes : 0,
-                                  tie_cycles_ ? (*tie_cycles_)[g] : 0});
+        for (std::size_t j = 0; j < faults.size(); ++j) mark_cone(faults[j].gate, j + 1);
+        for (std::size_t t = 0; t < ties_.size(); ++t) {
+            const LaneMask& outside = outside_cone_[ties_[t].gate];
+            Lanes& tl = tie_lanes_[t];
+            for (std::size_t w = 0; w < kWords; ++w) {
+                const std::uint64_t lanes = (outside[w] | (w == 0 ? 1ULL : 0)) & used[w];
+                tl.ones[w] = ties_[t].value == Val3::One ? lanes : 0;
+                tl.zeros[w] = ties_[t].value == Val3::Zero ? lanes : 0;
+            }
         }
     }
     std::size_t frame_index = 0;
-    auto apply_tie = [&](GateId g, Pattern& p) {
-        if (tie_lanes_.empty() || tie_index_[g] < 0) return;
-        const TieLanes& t = tie_lanes_[static_cast<std::size_t>(tie_index_[g])];
-        if (frame_index < t.cycle) return;
-        p.ones |= t.ones;
-        p.zeros |= t.zeros;
+    auto apply_tie = [&](GateId g, Lanes& p) {
+        const auto t = static_cast<std::size_t>(tie_index_[g]);
+        if (frame_index < ties_[t].cycle) return;
+        for (std::size_t w = 0; w < kWords; ++w) {
+            p.ones[w] |= tie_lanes_[t].ones[w];
+            p.zeros[w] |= tie_lanes_[t].zeros[w];
+        }
     };
 
-    auto force_output = [&](GateId g, Pattern& p) {
-        const std::uint64_t f1 = out_force1_[g], f0 = out_force0_[g];
-        const std::uint64_t both = f1 | f0;
-        p.ones = (p.ones & ~both) | f1;
-        p.zeros = (p.zeros & ~both) | f0;
-    };
-    // The data value gate `g` sees on flat fanin edge `edge`, with per-lane
-    // pin faults applied.
-    auto forced_pin_value = [&](GateId driver, std::uint32_t edge) {
-        Pattern p = pats_[driver];
-        const std::uint64_t f1 = pin_force1_[edge], f0 = pin_force0_[edge];
-        const std::uint64_t both = f1 | f0;
-        p.ones = (p.ones & ~both) | f1;
-        p.zeros = (p.zeros & ~both) | f0;
-        return p;
-    };
-
-    state_.assign(seq_elems.size(), logic::kPatAllX);
-    std::vector<bool> detected(faults.size(), false);
+    state_.assign(seq_elems.size(), Lanes{});
+    LaneMask detected{};
 
     for (const sim::InputFrame& frame : seq) {
         if (frame.size() != inputs.size())
             throw std::invalid_argument("FaultSimulator::run: bad input frame size");
         // Seed sources.
         for (std::size_t i = 0; i < inputs.size(); ++i) {
-            Pattern p = logic::pat_broadcast(frame[i]);
-            if (force_flags_[inputs[i]] & kOutForced) force_output(inputs[i], p);
+            Lanes p = broadcast<Lanes>(frame[i]);
+            if (force_flags_[inputs[i]] & kOutForced) force(p, out_force_[inputs[i]]);
             pats_[inputs[i]] = p;
         }
         for (std::size_t i = 0; i < seq_elems.size(); ++i) {
-            Pattern p = state_[i];
-            apply_tie(seq_elems[i], p);
-            if (force_flags_[seq_elems[i]] & kOutForced) force_output(seq_elems[i], p);
-            pats_[seq_elems[i]] = p;
+            const GateId ff = seq_elems[i];
+            Lanes p = state_[i];
+            if (force_flags_[ff] & kTied) apply_tie(ff, p);
+            if (force_flags_[ff] & kOutForced) force(p, out_force_[ff]);
+            pats_[ff] = p;
         }
-        // Levelized evaluation over the CSR schedule with fault forcing.
-        for (const GateId g : topo.schedule()) {
-            if (topo.is_input(g) || topo.is_seq(g)) continue;
-            const auto fi = topo.fanins(g);
-            Pattern p;
-            if (force_flags_[g] & kPinForced) {
-                const std::uint32_t base = topo.fanin_offset(g);
-                p = logic::eval_op_indirect(topo.op(g), fi.size(), [&](std::size_t i) {
-                    return forced_pin_value(fi[i], base + static_cast<std::uint32_t>(i));
-                });
-            } else {
-                p = logic::eval_op_indirect(topo.op(g), fi.size(),
-                                            [&](std::size_t i) { return pats_[fi[i]]; });
+        // Levelized evaluation; the flag byte keeps plain gates on the
+        // unforced kernel.
+        for (const GateId g : eval_order_) {
+            const std::uint8_t flags = force_flags_[g];
+            if (flags == 0) {
+                pats_[g] = eval_gate<false>(g);
+                continue;
             }
-            apply_tie(g, p);
-            if (force_flags_[g] & kOutForced) force_output(g, p);
+            Lanes p = flags & kPinForced ? eval_gate<true>(g) : eval_gate<false>(g);
+            if (flags & kTied) apply_tie(g, p);
+            if (flags & kOutForced) force(p, out_force_[g]);
             pats_[g] = p;
         }
         // Detection: a faulty lane differs from the good lane at a PO while
         // both are binary.
         for (const GateId o : topo.outputs()) {
-            const Pattern p = pats_[o];
-            const Val3 good = pat_get(p, 0);
-            if (good == Val3::X) continue;
-            const std::uint64_t diff = good == Val3::One ? p.zeros : p.ones;
-            if (diff == 0) continue;
-            for (std::size_t j = 0; j < faults.size(); ++j) {
-                if (diff & (1ULL << (j + 1))) detected[j] = true;
-            }
+            const Lanes& p = pats_[o];
+            const std::uint64_t* diff;
+            if (p.ones[0] & 1)
+                diff = p.zeros;
+            else if (p.zeros[0] & 1)
+                diff = p.ones;
+            else
+                continue;
+            for (std::size_t w = 0; w < kWords; ++w) detected[w] |= diff[w];
         }
         // Capture next state (pin faults on sequential data pins included).
         for (std::size_t i = 0; i < seq_elems.size(); ++i) {
             const GateId ff = seq_elems[i];
-            const GateId d = topo.fanins(ff)[0];
-            state_[i] = force_flags_[ff] & kPinForced
-                            ? forced_pin_value(d, topo.fanin_offset(ff))
-                            : pats_[d];
+            state_[i] = pats_[topo.fanins(ff)[0]];
+            if (force_flags_[ff] & kPinForced)
+                force(state_[i], pin_force_[topo.fanin_offset(ff)]);
         }
         ++frame_index;
     }
+    for (std::size_t w = 0; w < kWords; ++w) detected[w] &= used[w];
+    detected[0] &= ~1ULL;
+    return detected;
+}
+
+std::vector<bool> FaultSimulator::run(const sim::InputSequence& seq,
+                                      std::span<const Fault> faults) {
+    std::vector<bool> detected(faults.size(), false);
+    for_each_fault(pass(seq, faults), [&](std::size_t j) { detected[j] = true; });
     return detected;
 }
 
@@ -237,13 +368,10 @@ std::size_t FaultSimulator::drop_detected(const sim::InputSequence& seq, FaultLi
             chunk_indices_.push_back(todo[k]);
             chunk_.push_back(list.fault(todo[k]));
         }
-        const std::vector<bool> det = run(seq, chunk_);
-        for (std::size_t k = 0; k < chunk_.size(); ++k) {
-            if (det[k]) {
-                list.set_status(chunk_indices_[k], FaultStatus::Detected);
-                ++dropped;
-            }
-        }
+        for_each_fault(pass(seq, chunk_), [&](std::size_t k) {
+            list.set_status(chunk_indices_[k], FaultStatus::Detected);
+            ++dropped;
+        });
     }
     return dropped;
 }
@@ -283,13 +411,10 @@ std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq
         const std::size_t end = std::min(begin + kFaultsPerPass, todo.size());
         fs.chunk_.clear();
         for (std::size_t k = begin; k < end; ++k) fs.chunk_.push_back(list.fault(todo[k]));
-        const std::vector<bool> det = fs.run(seq, fs.chunk_);
-        for (std::size_t k = begin; k < end; ++k) {
-            if (det[k - begin]) {
-                detected_bits_[k / 64].fetch_or(1ULL << (k % 64),
-                                                std::memory_order_relaxed);
-            }
-        }
+        for_each_fault(fs.pass(seq, fs.chunk_), [&](std::size_t j) {
+            const std::size_t k = begin + j;
+            detected_bits_[k / 64].fetch_or(1ULL << (k % 64), std::memory_order_relaxed);
+        });
     };
     executor_->run(passes, exec::TaskView(task), workers);
 
@@ -307,9 +432,9 @@ std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq
 
 std::size_t FaultSimulator::memory_bytes() const noexcept {
     const auto vec = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
-    std::size_t bytes = vec(force_flags_) + vec(out_force1_) + vec(out_force0_) +
-                        vec(pin_force1_) + vec(pin_force0_) + vec(forced_gates_) +
-                        vec(forced_edges_) + vec(tie_lanes_) + vec(tie_index_) +
+    std::size_t bytes = vec(eval_order_) + vec(force_flags_) + vec(out_force_) +
+                        vec(pin_force_) + vec(forced_gates_) + vec(forced_edges_) +
+                        vec(ties_) + vec(tie_lanes_) + vec(tie_index_) +
                         vec(pats_) + vec(state_) + vec(outside_cone_) + vec(cone_touched_) +
                         vec(cone_stack_) + vec(chunk_indices_) + vec(chunk_) +
                         detected_words_ * sizeof(std::uint64_t);

@@ -1,18 +1,22 @@
 #pragma once
-// Sequential stuck-at fault simulation, 63 faults per pass.
+// Sequential stuck-at fault simulation, 255 faults per pass.
 //
-// Lane 0 of every 64-lane pattern carries the fault-free circuit; lanes
-// 1..63 carry faulty circuits (one permanent fault each). All machines run
-// from the all-X state under 3-valued semantics. A fault is detected when a
-// primary output is binary in both the good and the faulty lane and the two
-// values differ (the conservative definition a tester can rely on).
+// Every gate value is 256 three-valued lanes (four 64-bit ones/zeros word
+// pairs). Lane 0 carries the fault-free circuit; lanes 1..255 carry faulty
+// circuits (one permanent fault each). All machines run from the all-X state
+// under 3-valued semantics. A fault is detected when a primary output is
+// binary in both the good and the faulty lane and the two values differ (the
+// conservative definition a tester can rely on).
 //
 // Hot-path design: all structural access goes through the flat CSR
-// netlist::Topology (contiguous fanin spans in the 64-lane evaluation loop,
-// fanout spans for fault-cone marking). Fault forcing lives in flat per-gate
-// and per-fanin-edge mask arrays that persist on the simulator and are
-// cleared entry-by-entry between passes, so a run() in steady state performs
-// no per-pass heap allocation.
+// netlist::Topology (contiguous fanin spans in the evaluation loop, fanout
+// spans for fault-cone marking). Each gate is evaluated by a direct switch
+// over its operator, four words per plane. Fault forcing lives in flat
+// per-gate and per-fanin-edge four-word mask arrays that persist on the
+// simulator and are cleared entry-by-entry between passes; one flag byte
+// per gate keeps unforced, untied gates on the plain path. Detection ORs the
+// per-output diff words into a lane mask and walks its set bits once per
+// pass, so a pass in steady state performs no heap allocation.
 
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"
@@ -20,10 +24,10 @@
 #include "exec/pool.hpp"
 #include "fault/fault.hpp"
 #include "fault/fault_list.hpp"
-#include "logic/pattern.hpp"
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <span>
@@ -31,8 +35,8 @@
 
 namespace seqlearn::fault {
 
-/// Maximum faults per simulation pass (lanes 1..63).
-inline constexpr std::size_t kFaultsPerPass = 63;
+/// Maximum faults per simulation pass (lanes 1..255).
+inline constexpr std::size_t kFaultsPerPass = 255;
 
 class FaultSimulator {
 public:
@@ -50,9 +54,9 @@ public:
 
     /// Attach run-governance hooks for the current stage (all may be null;
     /// the owner clears them when its run ends). drop_detected() polls
-    /// cancel/budget at 63-fault pass boundaries and stops early — sound,
-    /// since skipping passes only leaves detectable faults undropped — and
-    /// polls `failpoint` (FailSite::WorkItem) before each pass.
+    /// cancel/budget at pass boundaries and stops early — sound, since
+    /// skipping passes only leaves detectable faults undropped — and polls
+    /// `failpoint` (FailSite::WorkItem) before each pass.
     void set_governance(const exec::CancelFlag* cancel, exec::Budget* budget,
                         exec::FailurePoint* failpoint) noexcept {
         cancel_ = cancel;
@@ -68,9 +72,10 @@ public:
     /// behaves identically. This closes the pessimism gap between the
     /// learning-aware ATPG and plain 3-valued validation (the paper's
     /// "pitfalls of necessary assignments" discussion). Vectors must
-    /// outlive the simulator.
+    /// outlive the simulator; the tied-gate list is read here, so call again
+    /// after changing their contents.
     void set_good_ties(const std::vector<Val3>* values,
-                       const std::vector<std::uint32_t>* cycles) noexcept;
+                       const std::vector<std::uint32_t>* cycles);
 
     /// Simulate `seq` with up to kFaultsPerPass `faults` injected in
     /// parallel; returns one flag per fault (true = detected).
@@ -81,10 +86,10 @@ public:
 
     /// Fault-simulate `seq` against every Undetected fault of `list`,
     /// marking newly detected ones Detected. Returns how many were dropped.
-    /// With an executor attached, the 63-fault passes run in parallel on
-    /// per-worker clones into a shared atomic detected-bitmap, merged into
-    /// `list` in fault-index order — statuses are bit-identical to the
-    /// serial pass at any thread count (detection is a pure union).
+    /// With an executor attached, the passes run in parallel on per-worker
+    /// clones into a shared atomic detected-bitmap, merged into `list` in
+    /// fault-index order — statuses are bit-identical to the serial pass at
+    /// any thread count (detection is a pure union).
     std::size_t drop_detected(const sim::InputSequence& seq, FaultList& list);
 
     const netlist::Topology& topology() const noexcept { return *topo_; }
@@ -95,43 +100,66 @@ public:
     std::size_t memory_bytes() const noexcept;
 
 private:
+    // 256 three-valued lanes in the two-plane encoding of logic::Pattern,
+    // one word pair per 64 lanes. Force masks reuse it: `ones` holds the
+    // stuck-at-1 lanes, `zeros` the stuck-at-0 lanes; tie masks likewise.
+    static constexpr std::size_t kWords = (kFaultsPerPass + 1) / 64;
+    struct Lanes {
+        std::uint64_t ones[kWords];
+        std::uint64_t zeros[kWords];
+    };
+    using LaneMask = std::array<std::uint64_t, kWords>;
+
     void clear_forces();
-    void mark_cone(netlist::GateId root, std::uint64_t lane_bit);
+    void mark_cone(netlist::GateId root, std::size_t lane);
+    /// One pass over `faults` (at most kFaultsPerPass); returns the detected
+    /// lanes (fault j is lane j + 1).
+    LaneMask pass(const sim::InputSequence& seq, std::span<const Fault> faults);
+    /// Gate g's output lanes from its fanins' (pin forces applied when
+    /// kPinForces); ties and output forces are the caller's.
+    template <bool kPinForces>
+    Lanes eval_gate(netlist::GateId g) const noexcept;
     std::size_t drop_detected_parallel(const sim::InputSequence& seq, FaultList& list,
                                        std::span<const std::size_t> todo,
                                        std::size_t passes, unsigned workers);
 
     const netlist::Topology* topo_;
+    // The schedule's evaluable gates (everything but inputs and sequential
+    // elements), in evaluation order.
+    std::vector<netlist::GateId> eval_order_;
 
-    // Per-gate force flags (bits below); flat force masks per gate (output
-    // forces) and per fanin edge (pin forces, indexed topo fanin_offset + pin).
-    // Only entries named in forced_gates_ / forced_edges_ are ever nonzero.
+    // Per-gate flags (bits below); flat force masks per gate (output forces)
+    // and per fanin edge (pin forces, indexed topo fanin_offset + pin). Only
+    // entries named in forced_gates_ / forced_edges_ are ever nonzero; the
+    // tie bit is fixed by set_good_ties.
     static constexpr std::uint8_t kOutForced = 1;
     static constexpr std::uint8_t kPinForced = 2;
+    static constexpr std::uint8_t kTied = 4;
     std::vector<std::uint8_t> force_flags_;
-    std::vector<std::uint64_t> out_force1_, out_force0_;
-    std::vector<std::uint64_t> pin_force1_, pin_force0_;
+    std::vector<Lanes> out_force_;
+    std::vector<Lanes> pin_force_;
     std::vector<netlist::GateId> forced_gates_;
     std::vector<std::uint32_t> forced_edges_;
 
     const std::vector<Val3>* tie_values_ = nullptr;
     const std::vector<std::uint32_t>* tie_cycles_ = nullptr;
-    // Per tied gate: the lanes its tie may be asserted in (rebuilt per run).
-    struct TieLanes {
+    // The tied gates (built once per set_good_ties), per pass the lanes each
+    // tie may be asserted in, and gate -> index into both (or -1).
+    struct Tie {
         netlist::GateId gate;
-        std::uint64_t ones;
-        std::uint64_t zeros;
+        Val3 value;
         std::uint32_t cycle;
     };
-    std::vector<TieLanes> tie_lanes_;
-    // gate -> index into tie_lanes_ (or -1); fixed once ties are set.
+    std::vector<Tie> ties_;
+    std::vector<Lanes> tie_lanes_;
     std::vector<std::int32_t> tie_index_;
 
-    // Reused run() scratch: per-gate patterns, sequential state, fault-cone
-    // lane masks (entries reset through cone_touched_), and the BFS stack.
-    std::vector<logic::Pattern> pats_;
-    std::vector<logic::Pattern> state_;
-    std::vector<std::uint64_t> outside_cone_;
+    // Reused pass scratch: per-gate lanes, sequential state, fault-cone
+    // lane masks (allocated when ties are first set; entries reset through
+    // cone_touched_), and the BFS stack.
+    std::vector<Lanes> pats_;
+    std::vector<Lanes> state_;
+    std::vector<LaneMask> outside_cone_;
     std::vector<netlist::GateId> cone_touched_;
     std::vector<netlist::GateId> cone_stack_;
     // Reused drop_detected() chunk buffers.

@@ -81,6 +81,18 @@ std::optional<sim::InputSequence> merge_compatible(const sim::InputSequence& a,
     return merged;
 }
 
+/// True when `seq` detects every fault of `check`; simulated in passes of
+/// at most kFaultsPerPass faults, stopping at the first pass with a miss.
+bool detects_all(fault::FaultSimulator& fsim, const sim::InputSequence& seq,
+                 std::span<const fault::Fault> check) {
+    for (std::size_t pos = 0; pos < check.size(); pos += fault::kFaultsPerPass) {
+        const std::vector<bool> det =
+            fsim.run(seq, check.subspan(pos, std::min(fault::kFaultsPerPass, check.size() - pos)));
+        if (!std::all_of(det.begin(), det.end(), [](bool d) { return d; })) return false;
+    }
+    return true;
+}
+
 }  // namespace
 
 CompactionStats compact_tests(fault::FaultSimulator& fsim,
@@ -134,8 +146,7 @@ CompactionStats compact_tests(fault::FaultSimulator& fsim,
             check.reserve(kept_resp[k].size() + resp[i].size());
             for (const std::size_t j : kept_resp[k]) check.push_back(faults[j]);
             for (const std::size_t j : resp[i]) check.push_back(faults[j]);
-            const std::vector<bool> det = fsim.run(*m, check);
-            if (!std::all_of(det.begin(), det.end(), [](bool d) { return d; })) continue;
+            if (!detects_all(fsim, *m, check)) continue;
             kept[k] = std::move(*m);
             kept_resp[k].insert(kept_resp[k].end(), resp[i].begin(), resp[i].end());
             ++stats.merges;

@@ -4,7 +4,7 @@
 // Two-plane encoding per lane: (ones bit, zeros bit) =
 //   (1,0) -> 1,  (0,1) -> 0,  (0,0) -> X.  (1,1) never occurs.
 // Used by the parallel-pattern simulator for gate-equivalence candidate
-// signatures and by the 64-fault-parallel fault simulator.
+// signatures and by the batched learning simulator.
 
 #include "logic/val3.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -108,6 +109,11 @@ void Server::accept_loop() {
         if (ready <= 0) continue;
         const int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) continue;
+        // Replies are small frames written whole; with Nagle's algorithm on,
+        // one sent while the previous reply is still unacknowledged waits
+        // for the client's delayed ACK (up to ~40 ms on Linux).
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         counters_.accepted.fetch_add(1, std::memory_order_relaxed);
         std::lock_guard<std::mutex> lock(conns_mu_);
         if (stopping_.load(std::memory_order_acquire)) {

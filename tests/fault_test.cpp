@@ -1,6 +1,9 @@
 // Tests for the fault substrate: universe generation, equivalence
-// collapsing, the status list, and the 63-fault-parallel sequential fault
-// simulator cross-validated against netlist-surgery reference simulation.
+// collapsing, the status list, and the 255-fault-per-pass sequential fault
+// simulator cross-validated against netlist-surgery reference simulation —
+// on s27 and on generated circuits with more than one pass of faults (pin
+// and output faults, a partial last pass, all-X frames, learned ties
+// checked serial against pooled).
 
 #include "fault/collapse.hpp"
 #include "fault/fault.hpp"
@@ -12,6 +15,7 @@
 #include "sim/comb_engine.hpp"
 #include "test_helpers.hpp"
 #include "util/rng.hpp"
+#include "workload/circuit_gen.hpp"
 
 #include <gtest/gtest.h>
 
@@ -246,7 +250,7 @@ TEST(FaultSim, ParallelPassMatchesSerialRuns) {
     FaultSimulator fsim(topo);
     util::Rng rng(15);
     const InputSequence seq = random_sequence(nl, 10, rng);
-    // One big pass over the first 63 faults vs. per-fault runs.
+    // One pass over the first faults (up to a full pass) vs. per-fault runs.
     const std::size_t n = std::min<std::size_t>(universe.size(), kFaultsPerPass);
     const std::span<const Fault> chunk(universe.data(), n);
     const auto parallel = fsim.run(seq, chunk);
@@ -320,10 +324,10 @@ TEST(FaultSim, SequentialFaultNeedsPropagationFrames) {
 }
 
 TEST(FaultSim, ParallelDropDetectedMatchesSerial) {
-    // More than one 63-fault pass, random sequences, serial vs pooled
-    // drop_detected over per-worker clones: every status and drop count
-    // must agree (detection is a union merged in fault-index order).
-    const Netlist nl = testing::random_circuit(77, 8, 6, 60);
+    // More than one pass, random sequences, serial vs pooled drop_detected
+    // over per-worker clones: every status and drop count must agree
+    // (detection is a union merged in fault-index order).
+    const Netlist nl = testing::random_circuit(77, 8, 6, 200);
     const netlist::Topology topo(nl);
     const CollapsedFaults collapsed = collapse(nl);
     ASSERT_GT(collapsed.size(), kFaultsPerPass);  // at least two passes
@@ -354,10 +358,10 @@ TEST(FaultSim, ParallelDropForwardsGoodTiesToClones) {
     // set_good_ties after clones exist must reconfigure every worker: tie a
     // gate and check parallel statuses still match a serial simulator with
     // the same ties.
-    const Netlist nl = testing::random_circuit(31, 7, 5, 50);
+    const Netlist nl = testing::random_circuit(31, 7, 5, 200);
     const netlist::Topology topo(nl);
     const CollapsedFaults collapsed = collapse(nl);
-    if (collapsed.size() <= kFaultsPerPass) GTEST_SKIP();
+    ASSERT_GT(collapsed.size(), kFaultsPerPass);  // at least two passes
 
     std::vector<Val3> ties(nl.size(), Val3::X);
     std::vector<std::uint32_t> cycles(nl.size(), 0);
@@ -389,6 +393,139 @@ TEST(FaultSim, ParallelDropForwardsGoodTiesToClones) {
     }
     for (std::size_t i = 0; i < serial_list.size(); ++i) {
         EXPECT_EQ(serial_list.status(i), parallel_list.status(i)) << i;
+    }
+}
+
+// --- the wide kernel against the surgery oracle -----------------------------
+
+// Seeded generated circuits with more than one pass of collapsed faults,
+// not a whole number of passes (the last pass is partial).
+Netlist wide_circuit(std::uint64_t seed) {
+    workload::GenParams p;
+    p.name = "wide";
+    p.seed = seed;
+    p.n_inputs = 8;
+    p.n_outputs = 8;
+    p.n_ffs = 12;
+    p.n_gates = 150;
+    return workload::generate(p);
+}
+
+// Random binary frames, with all-X frames at the positions in `x_frames`.
+InputSequence sequence_with_x_frames(const Netlist& nl, std::size_t len,
+                                     std::initializer_list<std::size_t> x_frames,
+                                     util::Rng& rng) {
+    InputSequence seq = random_sequence(nl, len, rng);
+    for (const std::size_t t : x_frames) std::fill(seq[t].begin(), seq[t].end(), Val3::X);
+    return seq;
+}
+
+TEST(FaultSimWide, AgreesWithSurgeryReferenceOnGeneratedCircuits) {
+    for (const std::uint64_t seed : {11ULL, 12ULL}) {
+        const Netlist nl = wide_circuit(seed);
+        const netlist::Topology topo(nl);
+        const std::vector<Fault> faults = collapse(nl).representatives();
+        ASSERT_GT(faults.size(), kFaultsPerPass) << "seed " << seed;
+        ASSERT_NE(faults.size() % kFaultsPerPass, 0u) << "seed " << seed;
+        const auto pin_faults = std::count_if(faults.begin(), faults.end(),
+                                              [](const Fault& f) { return f.pin != kOutputPin; });
+        ASSERT_GT(pin_faults, 0) << "seed " << seed;
+        ASSERT_LT(static_cast<std::size_t>(pin_faults), faults.size()) << "seed " << seed;
+
+        FaultSimulator fsim(topo);
+        util::Rng rng(seed);
+        const std::vector<InputSequence> seqs{
+            random_sequence(nl, 10, rng),
+            sequence_with_x_frames(nl, 10, {0, 3, 4}, rng),
+            InputSequence(6, InputFrame(nl.inputs().size(), Val3::X)),
+        };
+        for (std::size_t s = 0; s < seqs.size(); ++s) {
+            FaultList list(faults);
+            const std::size_t dropped = fsim.drop_detected(seqs[s], list);
+            std::size_t expect_dropped = 0;
+            std::size_t last_word_hits = 0;  // lanes 192..255 of a pass
+            for (std::size_t i = 0; i < faults.size(); ++i) {
+                const bool ref = reference_detects(nl, faults[i], seqs[s]);
+                expect_dropped += ref;
+                if (ref && i % kFaultsPerPass >= 191) ++last_word_hits;
+                EXPECT_EQ(list.status(i) == FaultStatus::Detected, ref)
+                    << to_string(nl, faults[i]) << " seed " << seed << " seq " << s;
+                EXPECT_EQ(fsim.detects(seqs[s], faults[i]), ref)
+                    << to_string(nl, faults[i]) << " seed " << seed << " seq " << s;
+            }
+            EXPECT_EQ(dropped, expect_dropped) << "seed " << seed << " seq " << s;
+            if (s + 1 < seqs.size()) {
+                EXPECT_GT(last_word_hits, 0u) << "seed " << seed << " seq " << s;
+                // The partial last pass detects something too.
+                const std::size_t last_pass = faults.size() / kFaultsPerPass * kFaultsPerPass;
+                bool last_pass_hit = false;
+                for (std::size_t i = last_pass; i < faults.size(); ++i)
+                    last_pass_hit |= list.status(i) == FaultStatus::Detected;
+                EXPECT_TRUE(last_pass_hit) << "seed " << seed << " seq " << s;
+            } else {
+                EXPECT_EQ(dropped, 0u) << "all-X stimuli detect nothing";
+            }
+        }
+    }
+}
+
+TEST(FaultSimWide, FullPassMatchesPerFaultRuns) {
+    // Exactly kFaultsPerPass faults in one run(): every lane, the last one
+    // included, must report what a single-fault run reports.
+    const Netlist nl = wide_circuit(13);
+    const netlist::Topology topo(nl);
+    const std::vector<Fault> faults = fault_universe(nl);
+    ASSERT_GE(faults.size(), kFaultsPerPass);
+    const std::span<const Fault> chunk(faults.data(), kFaultsPerPass);
+    FaultSimulator fsim(topo);
+    util::Rng rng(13);
+    const InputSequence seq = sequence_with_x_frames(nl, 12, {5}, rng);
+    const std::vector<bool> det = fsim.run(seq, chunk);
+    ASSERT_EQ(det.size(), kFaultsPerPass);
+    EXPECT_GT(std::count(det.begin(), det.end(), true), 0);
+    for (std::size_t j = 0; j < chunk.size(); ++j)
+        EXPECT_EQ(det[j], fsim.detects(seq, chunk[j])) << to_string(nl, chunk[j]);
+}
+
+TEST(FaultSimWide, LearnedTiesAgreeSerialPooledAndPerFault) {
+    // No surgery oracle models ties; instead the tie-aware pass must agree
+    // with itself across every route in: serial and pooled drop_detected,
+    // and single-fault detects(). Ties only refine X, so everything the
+    // plain simulator detects stays detected.
+    const Netlist nl = wide_circuit(11);
+    const netlist::Topology topo(nl);
+    const std::vector<Fault> faults = collapse(nl).representatives();
+    ASSERT_GT(faults.size(), kFaultsPerPass);
+    const core::LearnResult learned = testing::learn(nl);
+    const auto& ties = learned.ties.dense();
+    ASSERT_GT(std::count_if(ties.begin(), ties.end(), [](Val3 v) { return v != Val3::X; }), 0);
+
+    FaultSimulator plain(topo);
+    FaultSimulator serial(topo);
+    serial.set_good_ties(&ties, &learned.ties.dense_cycles());
+    exec::Pool pool(4);
+    FaultSimulator pooled(topo);
+    pooled.set_executor(&pool);
+    pooled.set_good_ties(&ties, &learned.ties.dense_cycles());
+
+    util::Rng rng(99);
+    for (int round = 0; round < 3; ++round) {
+        const InputSequence seq = sequence_with_x_frames(nl, 8, {1}, rng);
+        FaultList plain_list(faults);
+        FaultList serial_list(faults);
+        FaultList pooled_list(faults);
+        plain.drop_detected(seq, plain_list);
+        EXPECT_EQ(serial.drop_detected(seq, serial_list),
+                  pooled.drop_detected(seq, pooled_list))
+            << "round " << round;
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+            const bool det = serial_list.status(i) == FaultStatus::Detected;
+            EXPECT_EQ(pooled_list.status(i), serial_list.status(i)) << i;
+            EXPECT_EQ(serial.detects(seq, faults[i]), det) << to_string(nl, faults[i]);
+            if (plain_list.status(i) == FaultStatus::Detected) {
+                EXPECT_TRUE(det) << to_string(nl, faults[i]);
+            }
+        }
     }
 }
 

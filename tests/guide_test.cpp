@@ -15,6 +15,7 @@
 #include "netlist/bench_io.hpp"
 #include "netlist/topology.hpp"
 #include "test_helpers.hpp"
+#include "workload/circuit_gen.hpp"
 #include "workload/suite.hpp"
 
 #include <gtest/gtest.h>
@@ -317,6 +318,66 @@ TEST(RandomTpg, WarmupCompactionReverifiedByFaultSim) {
     std::size_t frames = 0;
     for (const sim::InputSequence& seq : out.tests) frames += seq.size();
     EXPECT_EQ(frames, out.pattern_frames);
+}
+
+// A merge whose combined responsibility exceeds one simulation pass must be
+// verified in several passes, not rejected by the simulator. An X-free
+// sequence and a copy with X on some positions merge back into the X-free
+// one; their responsibilities together are everything it detects.
+TEST(RandomTpg, CompactionVerifiesMergesWiderThanOnePass) {
+    const Netlist nl = workload::generate(workload::iscas_like("c13", 28, 200, 1291));
+    const Topology topo(nl);
+    const std::vector<fault::Fault> faults = fault::collapse(nl).representatives();
+    util::Rng rng(5);
+    sim::InputSequence full(32, sim::InputFrame(nl.inputs().size(), Val3::X));
+    for (auto& frame : full)
+        for (auto& v : frame) v = rng.chance(0.5) ? Val3::One : Val3::Zero;
+    sim::InputSequence partial = full;
+    for (std::size_t t = 24; t < partial.size(); ++t) partial[t][0] = Val3::X;
+
+    fault::FaultSimulator fsim(topo);
+    fault::FaultList by_full(faults);
+    const std::size_t full_detects = fsim.drop_detected(full, by_full);
+    ASSERT_GT(full_detects, fault::kFaultsPerPass);  // the merge check spans passes
+    fault::FaultList by_partial(faults);
+    const std::size_t partial_detects = fsim.drop_detected(partial, by_partial);
+    ASSERT_GT(partial_detects, 0u);
+    ASSERT_LT(partial_detects, full_detects);  // the X-free test keeps some credit
+
+    std::vector<sim::InputSequence> tests{full, partial};
+    const CompactionStats stats = compact_tests(fsim, faults, tests, FillMode::X, 1);
+    EXPECT_EQ(stats.before, 2u);
+    EXPECT_EQ(stats.merges, 1u);
+    ASSERT_EQ(tests.size(), 1u);
+    EXPECT_EQ(tests[0], full);
+}
+
+// The campaign that first exposed the single-pass merge check: a guided run
+// whose compaction verifies a merge wider than one pass must complete.
+TEST(RandomTpg, GuidedCampaignWithWideMergeCompletes) {
+    const Netlist nl = workload::generate(workload::iscas_like("c13", 28, 200, 1291));
+    const Topology topo(nl);
+    atpg::AtpgConfig cfg;
+    cfg.threads = 1;
+    cfg.mode = atpg::LearnMode::None;
+    cfg.identify_untestable = false;
+    cfg.backtrack_limit = 12;
+    cfg.windows = {1, 2};
+    cfg.backend = cnf::Backend::FrameSim;
+    cfg.guidance = Guidance::Scoap;
+    cfg.rand_warmup = 16;
+    cfg.rand_warmup_length = 4;
+    cfg.compact = true;
+    cfg.fill = FillMode::X;
+    fault::FaultList list(fault::collapse(nl).representatives());
+    const atpg::AtpgOutcome out = atpg::run_atpg(topo, list, cfg);
+    ASSERT_TRUE(out.run.ok()) << out.run.diagnostic;
+    EXPECT_GT(out.compaction_before, out.compaction_after);
+
+    fault::FaultSimulator fsim(topo);
+    fault::FaultList replay(fault::collapse(nl).representatives());
+    for (const sim::InputSequence& seq : out.tests) fsim.drop_detected(seq, replay);
+    EXPECT_EQ(replay.counts().detected, list.counts().detected);
 }
 
 // The default configuration — order=index, guidance=none, no warmup, no

@@ -32,6 +32,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -80,6 +81,8 @@ public:
     }
     Client(const Client&) = delete;
     Client& operator=(const Client&) = delete;
+
+    int fd() const noexcept { return fd_; }
 
     void send_raw(std::string_view text) {
         std::size_t sent = 0;
@@ -839,6 +842,39 @@ TEST(ServerHardening, ConnectionCapAnswersOverloadedAndCloses) {
     const JsonValue* conns = stats.get("server")->get("connections");
     ASSERT_NE(conns, nullptr);
     EXPECT_GE(conns->get_number("rejected_overloaded"), 1.0);
+    srv.stop();
+}
+
+// Accepted sockets turn Nagle's algorithm off: otherwise a reply sent while
+// the previous one is still unacknowledged waits for the client's delayed
+// ACK. The server runs in this process, so its end of the connection is
+// among this process's descriptors: the socket whose peer is the client.
+TEST(ServerHardening, AcceptedSocketsDisableNagle) {
+    server::Server srv{server::ServerConfig{}};
+    std::string err;
+    ASSERT_TRUE(srv.start(&err)) << err;
+    Client c(srv.port());
+    ASSERT_TRUE(c.rpc("{\"cmd\": \"stats\"}").get_bool("ok"));  // accepted by now
+
+    sockaddr_in local{};
+    socklen_t len = sizeof local;
+    ASSERT_EQ(::getsockname(c.fd(), reinterpret_cast<sockaddr*>(&local), &len), 0);
+    int matches = 0;
+    for (int fd = 0; fd < 4096; ++fd) {
+        sockaddr_in peer{};
+        socklen_t plen = sizeof peer;
+        if (fd == c.fd() ||
+            ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &plen) != 0 ||
+            peer.sin_family != AF_INET || peer.sin_port != local.sin_port ||
+            peer.sin_addr.s_addr != local.sin_addr.s_addr)
+            continue;
+        int nodelay = 0;
+        socklen_t olen = sizeof nodelay;
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &olen), 0);
+        EXPECT_NE(nodelay, 0) << "server socket " << fd << " still runs Nagle";
+        ++matches;
+    }
+    EXPECT_EQ(matches, 1);
     srv.stop();
 }
 
