@@ -1,42 +1,36 @@
 // seqlearn_cli — drive the library from the command line on .bench files.
 //
 //   seqlearn_cli stats  <circuit.bench | suite:NAME> [--json]
-//   seqlearn_cli learn  <circuit.bench | suite:NAME> [--frames N] [--threads N]
-//                       [--limit-stems N] [--deadline-ms N] [--sat-frames K]
-//                       [--checkpoint FILE] [--resume FILE] [--save-db FILE]
-//                       [--db-format text|binary] [--json]
-//   seqlearn_cli atpg   <circuit.bench | suite:NAME> [--mode none|forbidden|known]
-//                       [--backend framesim|sat|auto] [--sat-frames K]
-//                       [--backtracks N] [--load-db FILE] [--save-db FILE]
-//                       [--db-format text|binary] [--random N] [--deadline-ms N]
-//                       [--order index|level|scoap_hard_first|random]
-//                       [--order-seed N] [--guidance none|scoap]
-//                       [--rand-warmup N] [--fill x|zero|one|random]
-//                       [--progress] [--threads N] [--json]
+//   seqlearn_cli learn  <circuit.bench | suite:NAME> [knobs] [--checkpoint FILE]
+//                       [--resume FILE] [--save-db FILE] [--db-format text|binary]
+//                       [--progress] [--json]
+//   seqlearn_cli atpg   <circuit.bench | suite:NAME> [knobs] [--load-db FILE]
+//                       [--save-db FILE] [--db-format text|binary] [--progress]
+//                       [--json]
 //   seqlearn_cli gen    <out.bench | -> [--gates N] [--ffs N] [--inputs N]
 //                       [--outputs N] [--seed N] [--name NAME]
 //   seqlearn_cli serve  [--port N] [--max-sessions N] [--cache-mb N]
 //                       [--threads N] [--drain-ms N] [--max-frame-mb N]
+//                       [--max-conns N] [--idle-timeout-ms N]
+//                       [--write-timeout-ms N] [--store DIR] [--store-mb N]
+//                       [--chaos SITE:NTH]
 //
-// serve runs the ATPG-as-a-service daemon: newline-framed JSON requests
-// (load / learn / atpg / fault_sim / stats / cancel / shutdown) over a
-// loopback TCP socket, fronting a content-addressed Design cache with
-// attached learned snapshots — see README "Serving". It prints one JSON
-// line {"serving": {"port": N}} on stdout once listening (scripts wait on
-// it), then serves until SIGINT/SIGTERM or a protocol shutdown request;
-// either way it drains in-flight requests under --drain-ms (they complete
-// with Cancelled outcomes, not dropped connections) and exits 0.
+// The knobs of learn and atpg are the rows of the option table in
+// src/server/options.cpp (README "Options"): each flag is "--" + the
+// daemon's request key with '_' spelled '-'. Every argument is checked
+// before a circuit is loaded, and a malformed one is a usage error with the
+// daemon's message for the same key. Removed flags say what replaced them.
 //
-// "suite:NAME" loads one of the built-in experiment circuits (e.g.
-// suite:rt510a); anything else is parsed as an ISCAS-89 .bench file through
-// the streaming reader. Parse warnings (duplicate definitions, pragmas for
-// unknown elements, ...) are reported on stderr instead of being silently
-// dropped. All commands run through an api::Session over an api::Design, so
-// the circuit is levelized once and learned data moves through
-// Session::save_db / load_db. --db-format picks the --save-db encoding:
-// "text" (default) is the archival name-keyed format, "binary" the
-// fast-loading id-keyed one, digest-bound to this exact netlist; --load-db
-// accepts either, sniffed by magic.
+// "suite:NAME" loads a built-in experiment circuit (e.g. suite:rt510a);
+// anything else is parsed as an ISCAS-89 .bench file by the streaming
+// reader, with every parse warning reported on stderr. --save-db writes the
+// learned data as "text" (archival, name-keyed) or "binary" (fast-loading,
+// digest-bound); --load-db sniffs either. --checkpoint saves a
+// budget-stopped learn for --resume. --json prints one JSON object:
+// Session::stats(), the parse diagnostics, each stage's "outcome" and, for
+// atpg, the pattern shape, the strategy provenance and, with a SAT backend,
+// every proved fault. serve runs the daemon of README "Serving" and prints
+// {"serving": {"port": N, ...}} once listening.
 //
 // Exit codes, one per failure class (scripts branch on them):
 //   0  success (stage ran to completion)
@@ -46,47 +40,12 @@
 //      results were produced and saved where requested)
 //   5  stage cancelled
 //   6  internal failure (captured exception; state was not corrupted)
-//
-// --json emits one machine-readable JSON object on stdout — Session::stats()
-// plus the parse diagnostics and per-stage "outcome" objects — and silences
-// the human-readable report; failures emit an "error" object. --limit-stems
-// N budgets the learning pass to its first N work items (deterministic
-// LimitReached outcome), which is how the CI large-circuit smoke keeps a
-// 100k-gate learn bounded; --deadline-ms N puts a wall-clock budget on each
-// stage. --checkpoint FILE saves a budget-stopped learn for a later
-// --resume FILE, which continues it to the same final result an unbudgeted
-// run produces. --threads N runs every stage on N workers (default: one per
-// hardware thread; results are bit-identical at any thread count). The
-// removed flags --out, --learned (use --save-db / --load-db) and
-// --batch-lanes (learning always runs 64-lane batches) are usage errors
-// rather than silently ignored. gen writes a synthetic ISCAS-like circuit
-// via workload::circuit_gen for scaling experiments.
-//
-// --backend picks the ATPG engine per README "Backends": framesim (default,
-// the paper's flow), sat (every fault through the CNF timeframe-expansion
-// backend) or auto (deterministic per-fault routing; frame-sim aborts are
-// re-dispatched to SAT). --sat-frames K bounds the CNF unrolling (0 = the
-// deepest frame window); on learn it enables SAT learn mode, mining
-// implications at frame K-1 with failed-literal probes. With --json, a
-// SAT-enabled atpg run adds an "untestable" section listing every proved
-// fault with its proof kind and the frame bound used.
-//
-// Guidance knobs (README "Guidance & scenarios"): --order permutes the
-// deterministic target schedule (index = historical order, level = shallow
-// lines first, scoap_hard_first = descending SCOAP hardness, random =
-// shuffle from --order-seed); --guidance scoap turns on SCOAP-guided
-// backtrace + D-frontier selection (none is bit-identical to the goldens);
-// --rand-warmup N fault-simulates N config-seeded random sequences before
-// deterministic ATPG; --fill enables static compaction of the generated
-// patterns (merges re-verified by fault simulation) and fills leftover don't
-// cares with x, zero, one or random. Every combination stays bit-identical
-// across --threads settings. With --json the atpg section gains a
-// "patterns" object (count, total frames, compaction ratio) plus the
-// order/guidance/warmup/fill provenance.
 
 #include "api/session.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/structure.hpp"
+#include "server/json.hpp"
+#include "server/options.hpp"
 #include "server/server.hpp"
 #include "workload/circuit_gen.hpp"
 #include "workload/suite.hpp"
@@ -94,105 +53,83 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace {
 
 using namespace seqlearn;
+using server::diagnostics_json;
+using server::JsonValue;
+using server::json_escape;
+using server::outcome_json;
 
-const char* flag_value(int argc, char** argv, const char* name) {
-    for (int i = 0; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-    }
-    return nullptr;
+// --- arguments --------------------------------------------------------------
+
+constexpr std::string_view kDbFormats[] = {"text", "binary"};
+
+/// Each command's own flags; every other flag must be a knob of the stage it
+/// runs. Removed flags stay listed to say what replaced them.
+std::vector<server::Option> flags_of(std::string_view cmd) {
+    using enum server::OptionType;
+    using server::kMaxMillis;
+    const auto count = [](std::string_view key, std::int64_t min, std::int64_t max) {
+        return server::Option{.key = key, .type = Integer, .min = min, .max = max};
+    };
+    const server::Option json{.key = "json", .type = Switch};
+    const server::Option progress{.key = "progress", .type = Switch};
+    const server::Option db_format{.key = "db_format", .type = Enum, .spellings = kDbFormats};
+    std::vector<server::Option> flags;
+    if (cmd == "stats")
+        flags = {json};
+    else if (cmd == "learn")
+        flags = {json, progress, {.key = "save_db"}, db_format, {.key = "checkpoint"},
+                 {.key = "resume"}};
+    else if (cmd == "atpg")
+        flags = {json, progress, {.key = "save_db"}, db_format, {.key = "load_db"}};
+    else if (cmd == "gen")
+        flags = {{.key = "name"}, count("gates", 1, 100000000), count("ffs", 0, 10000000),
+                 count("inputs", 1, 1000000), count("outputs", 0, 1000000),
+                 count("seed", 0, server::kMaxCount)};
+    else
+        flags = {count("port", 0, 65535), count("max_sessions", 1, 4096),
+                 count("cache_mb", 0, 1 << 30), count("threads", 0, server::kMaxThreads),
+                 count("drain_ms", 0, kMaxMillis), count("max_frame_mb", 1, 4096),
+                 count("max_conns", 0, 1 << 20), count("idle_timeout_ms", 0, kMaxMillis),
+                 count("write_timeout_ms", 0, kMaxMillis), {.key = "chaos"}, {.key = "store"},
+                 count("store_mb", 0, 1 << 30)};
+    for (const auto& [key, hint] : {std::pair<std::string_view, std::string_view>{
+                                        "out", "--out was removed; use --save-db FILE"},
+                                    {"learned", "--learned was removed; use --load-db FILE"},
+                                    {"batch_lanes", "learning always runs 64-lane batches"},
+                                    {"random", "--random was removed; use --rand-warmup N"}})
+        flags.push_back({.key = key, .type = Removed, .hint = hint});
+    return flags;
 }
 
-bool flag_present(int argc, char** argv, const char* name) {
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], name) == 0) return true;
-    }
-    return false;
+/// What the command line gave: its own flags, and the run configuration.
+struct Args {
+    JsonValue flags;
+    api::SessionConfig run;
+};
+
+const std::string* text_flag(const Args& args, std::string_view key) {
+    const JsonValue* v = args.flags.get(key);
+    return v != nullptr ? &v->as_string() : nullptr;
 }
 
-// Flags that were removed: the argument scan ignores unknown flags, so
-// without this check a script passing one would exit 0 having silently done
-// less (e.g. saved nothing). Returns the usage message, or null.
-const char* removed_flag_message(int argc, char** argv) {
-    if (flag_present(argc, argv, "--out")) return "--out was removed; use --save-db FILE";
-    if (flag_present(argc, argv, "--learned"))
-        return "--learned was removed; use --load-db FILE";
-    if (flag_present(argc, argv, "--batch-lanes"))
-        return "--batch-lanes was removed; learning always runs 64-lane batches";
-    return nullptr;
-}
-
-// One exit code per failure class (see the header comment).
-int exit_code_for(const exec::RunOutcome& o) {
-    switch (o.status) {
-        case exec::RunStatus::Completed: return 0;
-        case exec::RunStatus::DeadlineExceeded:
-        case exec::RunStatus::LimitReached: return 4;
-        case exec::RunStatus::Cancelled: return 5;
-        case exec::RunStatus::Failed: return 6;
-    }
-    return 6;
-}
-
-// --- JSON helpers (small and dependency-free, like the bench emitter) ----
-
-std::string json_escape(std::string_view s) {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-std::string outcome_json(const exec::RunOutcome& o) {
-    std::string out = "{\"status\": \"";
-    out += o.name();
-    out += "\"";
-    if (!o.diagnostic.empty())
-        out += ", \"diagnostic\": \"" + json_escape(o.diagnostic) + "\"";
-    out += "}";
-    return out;
-}
-
-std::string diagnostics_json(const netlist::Diagnostics& diags) {
-    std::string out = "[";
-    bool first = true;
-    for (const netlist::Diagnostic& d : diags.records()) {
-        if (!first) out += ", ";
-        first = false;
-        out += "{\"severity\": \"";
-        out += d.severity == netlist::Severity::Error ? "error" : "warning";
-        out += "\", \"line\": " + std::to_string(d.line);
-        out += ", \"message\": \"" + json_escape(d.message) + "\"}";
-    }
-    out += "]";
-    return out;
+/// An Integer flag (checked against its range) into a numeric field; `shift`
+/// scales MiB flags to bytes.
+template <class T>
+void take(const Args& args, std::string_view key, T& field, int shift = 0) {
+    if (const JsonValue* v = args.flags.get(key))
+        field = static_cast<T>(static_cast<std::int64_t>(v->as_number()) << shift);
 }
 
 const char* proof_name(fault::UntestableProof p) {
@@ -206,22 +143,15 @@ const char* proof_name(fault::UntestableProof p) {
     return "?";
 }
 
-/// Per-run strategy provenance for the atpg JSON section: which ordering /
-/// guidance / warmup / fill configuration produced the patterns, plus the
-/// warmup counters from the outcome.
-struct AtpgProvenance {
-    const atpg::AtpgConfig* cfg = nullptr;
-    const atpg::AtpgOutcome* outcome = nullptr;
-};
-
 /// One JSON document: stats() for everything computed so far plus the parse
-/// diagnostics — the machine-readable twin of the human reports below.
-/// `report` (when non-null and the campaign used the CNF backend) feeds the
-/// "untestable" provenance section: one entry per proved fault. `prov`
-/// (when non-null) adds the strategy provenance and warmup counters.
+/// diagnostics — the machine-readable twin of the human reports below. An
+/// atpg run passes its `report` and `cfg`: the strategy provenance (which
+/// ordering / guidance / warmup / fill produced the patterns), the warmup
+/// counters and, when the campaign used the CNF backend, the "untestable"
+/// section with one entry per proved fault.
 void print_json(api::Session& session, const netlist::Diagnostics& diags,
                 const api::AtpgReport* report = nullptr,
-                const AtpgProvenance* prov = nullptr) {
+                const atpg::AtpgConfig* cfg = nullptr) {
     const api::SessionStats s = session.stats();
     std::string out = "{\n";
     out += "  \"circuit\": \"" + json_escape(session.netlist().name()) + "\",\n";
@@ -280,24 +210,20 @@ void print_json(api::Session& session, const netlist::Diagnostics& diags,
                           s.compaction_after, ratio);
             out += buf;
         }
-        if (prov != nullptr && prov->cfg != nullptr) {
+        if (report != nullptr && cfg != nullptr) {
             std::snprintf(buf, sizeof buf,
                           ", \"order\": \"%s\", \"guidance\": \"%s\", \"fill\": \"%s\", "
-                          "\"compact\": %s, \"rand_warmup\": %zu",
-                          std::string(guide::order_name(prov->cfg->order)).c_str(),
-                          std::string(guide::guidance_name(prov->cfg->guidance)).c_str(),
-                          std::string(guide::fill_name(prov->cfg->fill)).c_str(),
-                          prov->cfg->compact ? "true" : "false", prov->cfg->rand_warmup);
+                          "\"compact\": %s, \"rand_warmup\": %zu, \"warmup_detected\": %zu, "
+                          "\"warmup_sequences\": %zu",
+                          std::string(guide::order_name(cfg->order)).c_str(),
+                          std::string(guide::guidance_name(cfg->guidance)).c_str(),
+                          std::string(guide::fill_name(cfg->fill)).c_str(),
+                          cfg->compact ? "true" : "false", cfg->rand_warmup,
+                          report->outcome.detected_by_warmup,
+                          report->outcome.warmup_sequences);
             out += buf;
         }
-        if (prov != nullptr && prov->outcome != nullptr) {
-            std::snprintf(buf, sizeof buf,
-                          ", \"warmup_detected\": %zu, \"warmup_sequences\": %zu",
-                          prov->outcome->detected_by_warmup,
-                          prov->outcome->warmup_sequences);
-            out += buf;
-        }
-        if (report != nullptr) {
+        if (report != nullptr && cfg != nullptr && cfg->backend != cnf::Backend::FrameSim) {
             const atpg::AtpgOutcome& o = report->outcome;
             std::snprintf(buf, sizeof buf,
                           ", \"sat_targeted\": %zu, \"sat_witnesses\": %zu, "
@@ -380,43 +306,21 @@ int cmd_stats(api::Session& session, const netlist::Diagnostics& diags, bool jso
 // --save-db honours --db-format {text|binary}: text (default) is the
 // archival name-keyed format, binary the fast-loading id-keyed one (bound to
 // this exact netlist by digest). Loading sniffs the format automatically.
-int save_db_flagged(api::Session& session, const char* path, int argc, char** argv,
-                    bool json) {
-    const char* fmt = flag_value(argc, argv, "--db-format");
-    const std::string fmt_s = fmt ? fmt : "text";
-    if (fmt_s == "binary") {
-        session.save_db_binary(path);
-    } else if (fmt_s == "text") {
-        session.save_db(path);
-    } else {
-        std::fprintf(stderr, "unknown --db-format '%s' (want text or binary)\n",
-                     fmt_s.c_str());
-        return 2;
-    }
-    if (!json) std::printf("saved learned data to %s (%s)\n", path, fmt_s.c_str());
-    return 0;
+void save_db(api::Session& session, const Args& args, bool json) {
+    const std::string* path = text_flag(args, "save_db");
+    if (path == nullptr) return;
+    const std::string format = args.flags.get_string("db_format", std::string(kDbFormats[0]));
+    if (format == kDbFormats[1]) session.save_db_binary(*path);
+    else session.save_db(*path);
+    if (!json) std::printf("saved learned data to %s (%s)\n", path->c_str(), format.c_str());
 }
 
-int cmd_learn(api::Session& session, const netlist::Diagnostics& diags, int argc,
-              char** argv, bool json) {
-    core::LearnConfig cfg;
-    if (const char* f = flag_value(argc, argv, "--frames"))
-        cfg.max_frames = static_cast<std::uint32_t>(std::atoi(f));
-    if (const char* l = flag_value(argc, argv, "--limit-stems")) {
-        // Budgeted pass: stop deterministically after N work items
-        // (LimitReached; partial results are kept) — bounds learn time on
-        // huge circuits without a special-cased fast path.
-        cfg.budget.max_items = static_cast<std::size_t>(std::atoll(l));
-    }
-    if (const char* d = flag_value(argc, argv, "--deadline-ms"))
-        cfg.budget.deadline = std::chrono::milliseconds(std::atoll(d));
-    if (const char* k = flag_value(argc, argv, "--sat-frames"))
-        cfg.sat_frames = static_cast<std::uint32_t>(std::atoi(k));
-
+int cmd_learn(api::Session& session, const netlist::Diagnostics& diags,
+              const Args& args, bool json) {
     const core::LearnResult& r = [&]() -> const core::LearnResult& {
-        if (const char* resume = flag_value(argc, argv, "--resume"))
-            return session.resume_learn(std::string(resume));
-        return session.learn(cfg);
+        if (const std::string* resume = text_flag(args, "resume"))
+            return session.resume_learn(*resume);
+        return session.learn(args.run.learn);
     }();
     if (json) {
         print_json(session, diags);
@@ -440,83 +344,25 @@ int cmd_learn(api::Session& session, const netlist::Diagnostics& diags, int argc
             std::printf("  SAT learn:         %zu probes, %zu ties, %zu relations\n",
                         r.stats.sat_probes, r.stats.sat_ties, r.stats.sat_relations);
     }
-    if (const char* ckpt = flag_value(argc, argv, "--checkpoint")) {
+    if (const std::string* ckpt = text_flag(args, "checkpoint")) {
         if (r.cursor.valid) {
-            session.save_checkpoint(std::string(ckpt));
-            if (!json) std::printf("saved resume checkpoint to %s\n", ckpt);
+            session.save_checkpoint(*ckpt);
+            if (!json) std::printf("saved resume checkpoint to %s\n", ckpt->c_str());
         } else if (!r.outcome.ok() && !json) {
             std::printf("no checkpoint saved: stop point not resumable (%s)\n",
                         r.outcome.name());
         }
     }
-    if (const char* path = flag_value(argc, argv, "--save-db")) {
-        const int rc = save_db_flagged(session, path, argc, argv, json);
-        if (rc != 0) return rc;
-    }
-    return exit_code_for(r.outcome);
+    save_db(session, args, json);
+    return static_cast<int>(server::code_for(r.outcome));
 }
 
-int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, int argc,
-             char** argv, bool json) {
-    atpg::AtpgConfig cfg;
-    cfg.backtrack_limit = 30;
-    if (const char* bt = flag_value(argc, argv, "--backtracks"))
-        cfg.backtrack_limit = static_cast<std::uint32_t>(std::atoi(bt));
-    if (const char* r = flag_value(argc, argv, "--random"))
-        cfg.random_sequences = static_cast<std::size_t>(std::atoi(r));
-    if (const char* d = flag_value(argc, argv, "--deadline-ms"))
-        cfg.budget.deadline = std::chrono::milliseconds(std::atoll(d));
-    if (const char* b = flag_value(argc, argv, "--backend")) {
-        if (!cnf::parse_backend(b, cfg.backend)) {
-            std::fprintf(stderr, "unknown --backend '%s' (want framesim, sat or auto)\n",
-                         b);
-            return 2;
-        }
-    }
-    if (const char* k = flag_value(argc, argv, "--sat-frames"))
-        cfg.sat_frames = static_cast<std::uint32_t>(std::atoi(k));
-    if (const char* o = flag_value(argc, argv, "--order")) {
-        const auto parsed = guide::parse_order(o);
-        if (!parsed) {
-            std::fprintf(stderr,
-                         "unknown --order '%s' (want index, level, scoap_hard_first or "
-                         "random)\n",
-                         o);
-            return 2;
-        }
-        cfg.order = *parsed;
-    }
-    if (const char* s = flag_value(argc, argv, "--order-seed"))
-        cfg.order_seed = static_cast<std::uint64_t>(std::atoll(s));
-    if (const char* g = flag_value(argc, argv, "--guidance")) {
-        const auto parsed = guide::parse_guidance(g);
-        if (!parsed) {
-            std::fprintf(stderr, "unknown --guidance '%s' (want none or scoap)\n", g);
-            return 2;
-        }
-        cfg.guidance = *parsed;
-    }
-    if (const char* w = flag_value(argc, argv, "--rand-warmup"))
-        cfg.rand_warmup = static_cast<std::size_t>(std::atoll(w));
-    if (const char* f = flag_value(argc, argv, "--fill")) {
-        // --fill turns on the static-compaction pass; the mode says how the
-        // surviving don't-care positions are filled afterwards.
-        const auto parsed = guide::parse_fill(f);
-        if (!parsed) {
-            std::fprintf(stderr, "unknown --fill '%s' (want x, zero, one or random)\n", f);
-            return 2;
-        }
-        cfg.compact = true;
-        cfg.fill = *parsed;
-    }
-
-    const char* mode = flag_value(argc, argv, "--mode");
-    const std::string mode_s = mode ? mode : "forbidden";
-    if (mode_s != "none") {
-        cfg.mode = mode_s == "known" ? atpg::LearnMode::KnownValue
-                                     : atpg::LearnMode::ForbiddenValue;
-        if (const char* path = flag_value(argc, argv, "--load-db")) {
-            const std::size_t skipped = session.load_db(path);
+int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags,
+             const Args& args, bool json) {
+    const atpg::AtpgConfig& cfg = args.run.atpg;
+    if (cfg.mode != atpg::LearnMode::None) {
+        if (const std::string* path = text_flag(args, "load_db")) {
+            const std::size_t skipped = session.load_db(*path);
             if (!json)
                 std::printf("loaded learned data (%zu relations, %zu ties, %zu skipped)\n",
                             session.learn().db.size(), session.learn().ties.count(),
@@ -526,23 +372,19 @@ int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, int argc,
             std::printf("learned on the fly: %zu relations, %zu ties\n",
                         learned.db.size(), learned.ties.count());
         }
-        cfg.count_c_cycle_redundant = true;
     }
 
     const api::AtpgReport& report = session.atpg(cfg);
-    if (const char* path = flag_value(argc, argv, "--save-db")) {
-        const int rc = save_db_flagged(session, path, argc, argv, json);
-        if (rc != 0) return rc;
-    }
+    save_db(session, args, json);
+    const int rc = static_cast<int>(server::code_for(report.outcome.run));
     if (json) {
-        const AtpgProvenance prov{&cfg, &report.outcome};
-        print_json(session, diags,
-                   cfg.backend != cnf::Backend::FrameSim ? &report : nullptr, &prov);
-        return exit_code_for(report.outcome.run);
+        print_json(session, diags, &report, &cfg);
+        return rc;
     }
     const auto c = report.list.counts();
-    std::printf("mode=%s backend=%s backtracks=%u\n", mode_s.c_str(),
-                cnf::backend_name(cfg.backend), cfg.backtrack_limit);
+    std::printf("mode=%s backend=%s backtracks=%u\n",
+                std::string(atpg::learn_mode_name(cfg.mode)).c_str(),
+                std::string(cnf::backend_name(cfg.backend)).c_str(), cfg.backtrack_limit);
     std::printf("  detected:   %zu (of %zu)\n", c.detected, c.total);
     std::printf("  untestable: %zu\n", c.untestable);
     std::printf("  aborted:    %zu\n", c.aborted);
@@ -557,17 +399,14 @@ int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, int argc,
         std::printf("  warmup:     %zu sequences kept, %zu faults dropped\n",
                     report.outcome.warmup_sequences, report.outcome.detected_by_warmup);
     if (report.outcome.compaction_before > 0)
-        std::printf("  compaction: %zu -> %zu patterns (fill=%.*s)\n",
+        std::printf("  compaction: %zu -> %zu patterns (fill=%s)\n",
                     report.outcome.compaction_before, report.outcome.compaction_after,
-                    static_cast<int>(guide::fill_name(cfg.fill).size()),
-                    guide::fill_name(cfg.fill).data());
+                    std::string(guide::fill_name(cfg.fill)).c_str());
     if (cfg.order != guide::OrderStrategy::Index ||
         cfg.guidance != guide::Guidance::None)
-        std::printf("  strategy:   order=%.*s guidance=%.*s\n",
-                    static_cast<int>(guide::order_name(cfg.order).size()),
-                    guide::order_name(cfg.order).data(),
-                    static_cast<int>(guide::guidance_name(cfg.guidance).size()),
-                    guide::guidance_name(cfg.guidance).data());
+        std::printf("  strategy:   order=%s guidance=%s\n",
+                    std::string(guide::order_name(cfg.order)).c_str(),
+                    std::string(guide::guidance_name(cfg.guidance)).c_str());
     if (report.outcome.sat_targeted > 0)
         std::printf("  sat:        %zu targeted, %zu witnesses, %zu untestable\n",
                     report.outcome.sat_targeted, report.outcome.sat_witnesses,
@@ -577,24 +416,17 @@ int cmd_atpg(api::Session& session, const netlist::Diagnostics& diags, int argc,
         std::printf("  stopped:    %s%s%s\n", report.outcome.run.name(),
                     report.outcome.run.diagnostic.empty() ? "" : " — ",
                     report.outcome.run.diagnostic.c_str());
-    return exit_code_for(report.outcome.run);
+    return rc;
 }
 
-int cmd_gen(int argc, char** argv) {
-    const std::string out_path = argv[2];
+int cmd_gen(const std::string& out_path, const Args& args) {
     workload::GenParams p;
-    p.name = "gen";
-    if (const char* v = flag_value(argc, argv, "--name")) p.name = v;
-    if (const char* v = flag_value(argc, argv, "--gates"))
-        p.n_gates = static_cast<std::size_t>(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--ffs"))
-        p.n_ffs = static_cast<std::size_t>(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--inputs"))
-        p.n_inputs = static_cast<std::size_t>(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--outputs"))
-        p.n_outputs = static_cast<std::size_t>(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--seed"))
-        p.seed = static_cast<std::uint64_t>(std::atoll(v));
+    if (const std::string* name = text_flag(args, "name")) p.name = *name;
+    take(args, "gates", p.n_gates);
+    take(args, "ffs", p.n_ffs);
+    take(args, "inputs", p.n_inputs);
+    take(args, "outputs", p.n_outputs);
+    take(args, "seed", p.seed);
     const netlist::Netlist nl = workload::generate(p);
     if (out_path == "-") {
         netlist::write_bench(std::cout, nl);
@@ -617,35 +449,26 @@ volatile std::sig_atomic_t g_stop_signal = 0;
 
 extern "C" void handle_stop_signal(int) { g_stop_signal = 1; }
 
-int cmd_serve(int argc, char** argv) {
+int cmd_serve(const Args& args) {
     server::ServerConfig cfg;
-    if (const char* v = flag_value(argc, argv, "--port"))
-        cfg.port = static_cast<std::uint16_t>(std::atoi(v));
-    if (const char* v = flag_value(argc, argv, "--max-sessions"))
-        cfg.service.max_sessions = static_cast<std::size_t>(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--cache-mb"))
-        cfg.service.cache.max_bytes = static_cast<std::size_t>(std::atoll(v)) << 20;
-    if (const char* v = flag_value(argc, argv, "--threads"))
-        cfg.service.threads = static_cast<unsigned>(std::atoi(v));
-    if (const char* v = flag_value(argc, argv, "--drain-ms"))
-        cfg.drain_deadline = std::chrono::milliseconds(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--max-frame-mb"))
-        cfg.max_frame_bytes = static_cast<std::size_t>(std::atoll(v)) << 20;
-    if (const char* v = flag_value(argc, argv, "--max-conns"))
-        cfg.max_conns = static_cast<std::size_t>(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--idle-timeout-ms"))
-        cfg.idle_timeout = std::chrono::milliseconds(std::atoll(v));
-    if (const char* v = flag_value(argc, argv, "--write-timeout-ms"))
-        cfg.write_timeout = std::chrono::milliseconds(std::atoll(v));
+    take(args, "port", cfg.port);
+    take(args, "max_sessions", cfg.service.max_sessions);
+    take(args, "threads", cfg.service.threads);
+    take(args, "drain_ms", cfg.drain_deadline);
+    take(args, "max_conns", cfg.max_conns);
+    take(args, "idle_timeout_ms", cfg.idle_timeout);
+    take(args, "write_timeout_ms", cfg.write_timeout);
+    take(args, "cache_mb", cfg.service.cache.max_bytes, 20);
+    take(args, "max_frame_mb", cfg.max_frame_bytes, 20);
 
     // Deterministic chaos: arm one failure site for the whole process
     // (CI's crash-recovery smoke runs `--chaos fs_rename:1` and kills the
     // daemon mid-save).
     exec::FailurePoint chaos;
-    if (const char* v = flag_value(argc, argv, "--chaos")) {
-        if (!exec::arm_from_spec(chaos, v)) {
-            std::fprintf(stderr, "error: bad --chaos spec \"%s\" (want site:nth, "
-                                 "e.g. fs_rename:1)\n", v);
+    if (const std::string* spec = text_flag(args, "chaos")) {
+        if (!exec::arm_from_spec(chaos, *spec)) {
+            std::fprintf(stderr, "error: chaos: bad spec \"%s\" (site:nth, e.g. "
+                                 "fs_rename:1)\n", spec->c_str());
             return 2;
         }
         cfg.failpoint = &chaos;
@@ -653,11 +476,10 @@ int cmd_serve(int argc, char** argv) {
 
     // Durable snapshot store: open (recovery scan + quarantine) before the
     // listener, so a request arriving first thing sees the warm index.
-    if (const char* v = flag_value(argc, argv, "--store")) {
+    if (const std::string* dir = text_flag(args, "store")) {
         server::SnapshotStoreConfig store_cfg;
-        store_cfg.dir = v;
-        if (const char* mb = flag_value(argc, argv, "--store-mb"))
-            store_cfg.max_bytes = static_cast<std::size_t>(std::atoll(mb)) << 20;
+        store_cfg.dir = *dir;
+        take(args, "store_mb", store_cfg.max_bytes, 20);
         store_cfg.failpoint = cfg.failpoint;
         std::string store_error;
         cfg.service.store =
@@ -669,7 +491,7 @@ int cmd_serve(int argc, char** argv) {
         const server::SnapshotStoreStats ss = cfg.service.store->stats();
         std::fprintf(stderr,
                      "snapshot store %s: %zu entries (%zu bytes), %zu quarantined\n",
-                     v, ss.entries, ss.bytes, ss.quarantined);
+                     dir->c_str(), ss.entries, ss.bytes, ss.quarantined);
     }
 
     server::Server srv(cfg);
@@ -704,30 +526,32 @@ int cmd_serve(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (const char* msg = removed_flag_message(argc, argv)) {
-        std::fprintf(stderr, "error: %s\n", msg);
-        return 2;
-    }
-    if (argc >= 2 && std::strcmp(argv[1], "serve") == 0) {
-        try {
-            return cmd_serve(argc, argv);
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 6;
-        }
-    }
-    if (argc < 3) {
+    const std::string_view cmd = argc >= 2 ? argv[1] : "";
+    const std::optional<api::Stage> stage = cmd == "learn" ? std::optional(api::Stage::Learn)
+                                            : cmd == "atpg" ? std::optional(api::Stage::Atpg)
+                                                            : std::nullopt;
+    // serve takes no positional argument; the others take one file.
+    const int first = cmd == "serve" ? 2 : 3;
+    if ((!stage && cmd != "stats" && cmd != "gen" && cmd != "serve") || argc < first) {
         std::fprintf(stderr,
                      "usage: %s stats|learn|atpg|gen <circuit.bench|suite:NAME|out.bench>"
                      " [options]\n       %s serve [--port N] [options]\n",
                      argv[0], argv[0]);
         return 2;
     }
+    Args args;
+    const std::string usage =
+        server::parse_args(std::span<char* const>(argv + first, argv + argc), cmd, stage,
+                           flags_of(cmd), args.flags, args.run);
+    if (!usage.empty()) {
+        std::fprintf(stderr, "error: %s\n", usage.c_str());
+        return 2;
+    }
+    const bool json = args.flags.get_bool("json");
     try {
-        const std::string cmd = argv[1];
-        if (cmd == "gen") return cmd_gen(argc, argv);
+        if (cmd == "serve") return cmd_serve(args);
+        if (cmd == "gen") return cmd_gen(argv[2], args);
 
-        const bool json = flag_present(argc, argv, "--json");
         LoadedCircuit loaded = load_circuit(argv[2]);
         // Report every parse diagnostic on stderr (warnings included — they
         // used to be dropped); --json carries them in the output object too.
@@ -742,10 +566,8 @@ int main(int argc, char** argv) {
             return 3;
         }
 
-        api::SessionConfig scfg;
-        if (const char* t = flag_value(argc, argv, "--threads"))
-            scfg.threads = static_cast<unsigned>(std::atoi(t));
-        const bool progress = flag_present(argc, argv, "--progress");
+        api::SessionConfig scfg = args.run;
+        const bool progress = args.flags.get_bool("progress");
         if (progress) {
             // One \r-rewritten line per stage; the line is terminated on a
             // stage change and once more when the command finishes (no
@@ -762,18 +584,14 @@ int main(int argc, char** argv) {
             };
         }
         api::Session session(loaded.design, std::move(scfg));
-        int rc = 2;
-        if (cmd == "stats") rc = cmd_stats(session, loaded.diagnostics, json);
-        else if (cmd == "learn")
-            rc = cmd_learn(session, loaded.diagnostics, argc, argv, json);
-        else if (cmd == "atpg")
-            rc = cmd_atpg(session, loaded.diagnostics, argc, argv, json);
-        else std::fprintf(stderr, "unknown command %s\n", cmd.c_str());
+        const int rc = cmd == "stats"   ? cmd_stats(session, loaded.diagnostics, json)
+                       : cmd == "learn" ? cmd_learn(session, loaded.diagnostics, args, json)
+                                        : cmd_atpg(session, loaded.diagnostics, args, json);
         if (progress) std::fprintf(stderr, "\n");
         return rc;
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
-        if (flag_present(argc, argv, "--json"))
+        if (json)
             std::printf("{\"error\": {\"class\": \"internal\", \"message\": \"%s\"}}\n",
                         json_escape(e.what()).c_str());
         return 6;

@@ -26,8 +26,10 @@
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 namespace seqlearn::atpg {
@@ -37,6 +39,14 @@ enum class LearnMode : std::uint8_t {
     KnownValue,      ///< implied literals become assignments to justify
     ForbiddenValue,  ///< implied literals' complements become forbidden
 };
+
+/// Mode spellings, indexed by LearnMode (the `mode` knob reads them).
+inline constexpr std::array<std::string_view, 3> kLearnModeNames = {"none", "known",
+                                                                    "forbidden"};
+
+inline std::string_view learn_mode_name(LearnMode m) {
+    return kLearnModeNames[static_cast<std::size_t>(m)];
+}
 
 struct EngineConfig {
     LearnMode mode = LearnMode::None;

@@ -25,7 +25,9 @@
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 
+#include <array>
 #include <cstdint>
+#include <string_view>
 
 namespace seqlearn::cnf {
 
@@ -36,10 +38,12 @@ enum class Backend : std::uint8_t {
     Auto,      ///< route per fault; SAT also re-targets frame-sim aborts
 };
 
-/// Parse "framesim" / "sat" / "auto" (the CLI and server spelling).
-/// Returns false on an unknown name, leaving `out` untouched.
-bool parse_backend(std::string_view name, Backend& out);
-const char* backend_name(Backend b) noexcept;
+/// Backend spellings, indexed by Backend (the `backend` knob reads them).
+inline constexpr std::array<std::string_view, 3> kBackendNames = {"framesim", "sat", "auto"};
+
+inline std::string_view backend_name(Backend b) {
+    return kBackendNames[static_cast<std::size_t>(b)];
+}
 
 struct CnfVerdict {
     enum class Kind : std::uint8_t {

@@ -7,24 +7,6 @@
 
 namespace seqlearn::guide {
 
-std::optional<OrderStrategy> parse_order(std::string_view s) {
-    if (s == "index") return OrderStrategy::Index;
-    if (s == "level") return OrderStrategy::Level;
-    if (s == "scoap_hard_first") return OrderStrategy::ScoapHardFirst;
-    if (s == "random") return OrderStrategy::Random;
-    return std::nullopt;
-}
-
-std::string_view order_name(OrderStrategy s) {
-    switch (s) {
-        case OrderStrategy::Index: return "index";
-        case OrderStrategy::Level: return "level";
-        case OrderStrategy::ScoapHardFirst: return "scoap_hard_first";
-        case OrderStrategy::Random: return "random";
-    }
-    return "index";
-}
-
 void order_targets(std::vector<std::size_t>& targets, OrderStrategy s,
                    const netlist::Topology& topo, const fault::FaultList& list,
                    const Testability* tst, std::uint64_t seed) {

@@ -11,8 +11,8 @@
 #include "guide/testability.hpp"
 #include "netlist/topology.hpp"
 
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -25,12 +25,13 @@ enum class OrderStrategy : std::uint8_t {
     Random,          ///< Fisher–Yates shuffle from a 64-bit seed
 };
 
-/// Parse a strategy name ("index", "level", "scoap_hard_first", "random").
-/// Returns nullopt on unknown names (callers produce the usage error).
-std::optional<OrderStrategy> parse_order(std::string_view s);
+/// Strategy spellings, indexed by OrderStrategy (the `order` knob reads them).
+inline constexpr std::array<std::string_view, 4> kOrderNames = {
+    "index", "level", "scoap_hard_first", "random"};
 
-/// Canonical name of `s` (inverse of parse_order).
-std::string_view order_name(OrderStrategy s);
+inline std::string_view order_name(OrderStrategy s) {
+    return kOrderNames[static_cast<std::size_t>(s)];
+}
 
 /// Permute `targets` (indices into `list`) in place according to `s`.
 /// All sorts are stable with the fault index as the final tiebreak, so the

@@ -21,8 +21,8 @@
 #include "fault/fault_sim.hpp"
 #include "sim/comb_engine.hpp"
 
+#include <array>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -43,10 +43,17 @@ enum class FillMode : std::uint8_t {
     Random,  ///< deterministic random fill (same seed as the warmup)
 };
 
-std::optional<Guidance> parse_guidance(std::string_view s);
-std::string_view guidance_name(Guidance g);
-std::optional<FillMode> parse_fill(std::string_view s);
-std::string_view fill_name(FillMode m);
+/// Spellings indexed by Guidance / FillMode (the `guidance` and `fill` knobs
+/// read them).
+inline constexpr std::array<std::string_view, 2> kGuidanceNames = {"none", "scoap"};
+inline constexpr std::array<std::string_view, 4> kFillNames = {"x", "zero", "one", "random"};
+
+inline std::string_view guidance_name(Guidance g) {
+    return kGuidanceNames[static_cast<std::size_t>(g)];
+}
+inline std::string_view fill_name(FillMode m) {
+    return kFillNames[static_cast<std::size_t>(m)];
+}
 
 struct WarmupStats {
     std::size_t dropped = 0;         ///< faults moved Undetected -> Detected

@@ -294,6 +294,31 @@ std::string json_escape(std::string_view s) {
     return out;
 }
 
+std::string outcome_json(const exec::RunOutcome& o) {
+    std::string out = "{\"status\": \"";
+    out += o.name();
+    out += "\"";
+    if (!o.diagnostic.empty())
+        out += ", \"diagnostic\": \"" + json_escape(o.diagnostic) + "\"";
+    out += "}";
+    return out;
+}
+
+std::string diagnostics_json(const netlist::Diagnostics& diags) {
+    std::string out = "[";
+    bool first = true;
+    for (const netlist::Diagnostic& d : diags.records()) {
+        if (!first) out += ", ";
+        first = false;
+        out += "{\"severity\": \"";
+        out += d.severity == netlist::Severity::Error ? "error" : "warning";
+        out += "\", \"line\": " + std::to_string(d.line);
+        out += ", \"message\": \"" + json_escape(d.message) + "\"}";
+    }
+    out += "]";
+    return out;
+}
+
 std::string hex_u64(std::uint64_t v) {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));

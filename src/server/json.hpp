@@ -6,12 +6,15 @@
 // prints. Requests are small and flat (a command name, a design digest, a
 // handful of numeric knobs, at most one large string — the .bench text), so
 // a dependency-free recursive-descent parser is all that is needed; writing
-// stays string-building with a shared escaper, exactly like the CLI.
+// stays string-building with the helpers below, which the CLI uses too.
 //
 // Numbers are stored as double. Every numeric field in the protocol (ports,
 // budgets, counts, thread counts) fits a double exactly; 64-bit digests do
 // NOT, which is why the protocol transports them as hex *strings*
 // (see hex_u64 / parse_hex_u64).
+
+#include "exec/outcome.hpp"
+#include "netlist/diagnostics.hpp"
 
 #include <cstdint>
 #include <map>
@@ -53,6 +56,10 @@ public:
     bool get_bool(std::string_view key, bool fallback = false) const;
 
     const std::vector<JsonValue>& items() const noexcept { return arr_; }
+    /// Object members in key order (empty when not an object).
+    const std::map<std::string, JsonValue, std::less<>>& members() const noexcept {
+        return obj_;
+    }
 
     /// Parse one JSON document. On failure returns nullopt and, when
     /// `error` is non-null, stores a one-line reason. Trailing garbage
@@ -69,9 +76,14 @@ private:
     std::vector<JsonValue> arr_;
 };
 
-/// Escape `s` for embedding in a JSON string literal (same rules as the
-/// CLI's --json printer).
+/// Escape `s` for embedding in a JSON string literal.
 std::string json_escape(std::string_view s);
+
+/// {"status": ..., "diagnostic": ...} for a stage outcome.
+std::string outcome_json(const exec::RunOutcome& o);
+
+/// [{"severity": ..., "line": ..., "message": ...}, ...] for parse diagnostics.
+std::string diagnostics_json(const netlist::Diagnostics& diags);
 
 /// Lossless transport for 64-bit digests: fixed-width lowercase hex.
 std::string hex_u64(std::uint64_t v);

@@ -1,11 +1,13 @@
 #include "server/service.hpp"
 
-#include "api/session.hpp"
 #include "cnf/dispatch.hpp"
 #include "core/db_io.hpp"
 #include "core/impl_db.hpp"
+#include "exec/pool.hpp"
 #include "server/json.hpp"
+#include "server/options.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -13,9 +15,6 @@
 
 namespace seqlearn::server {
 
-namespace {
-
-/// The CLI's exit_code_for, as protocol codes.
 ProtoCode code_for(const exec::RunOutcome& o) {
     switch (o.status) {
         case exec::RunStatus::Completed: return ProtoCode::Ok;
@@ -27,30 +26,28 @@ ProtoCode code_for(const exec::RunOutcome& o) {
     return ProtoCode::Internal;
 }
 
-std::string outcome_json(const exec::RunOutcome& o) {
-    std::string out = "{\"status\": \"";
-    out += o.name();
-    out += "\"";
-    if (!o.diagnostic.empty())
-        out += ", \"diagnostic\": \"" + json_escape(o.diagnostic) + "\"";
-    out += "}";
-    return out;
-}
+namespace {
 
-std::string diagnostics_json(const netlist::Diagnostics& diags) {
-    std::string out = "[";
-    bool first = true;
-    for (const netlist::Diagnostic& d : diags.records()) {
-        if (!first) out += ", ";
-        first = false;
-        out += "{\"severity\": \"";
-        out += d.severity == netlist::Severity::Error ? "error" : "warning";
-        out += "\", \"line\": " + std::to_string(d.line);
-        out += ", \"message\": \"" + json_escape(d.message) + "\"}";
-    }
-    out += "]";
-    return out;
-}
+// Each command's own request keys; every other key must be a knob of the
+// stage the command runs (server/options.cpp).
+constexpr Option kLoadKeys[] = {{.key = "cmd"}, {.key = "id"}, {.key = "bench"},
+                                {.key = "path"}, {.key = "name"}};
+constexpr Option kLearnKeys[] = {{.key = "cmd"}, {.key = "id"}, {.key = "design"},
+                                 {.key = "force", .type = OptionType::Switch}};
+constexpr Option kDesignKeys[] = {{.key = "cmd"}, {.key = "id"}, {.key = "design"}};
+constexpr Option kCancelKeys[] = {{.key = "cmd"}, {.key = "id"}, {.key = "target"}};
+constexpr Option kShutdownKeys[] = {{.key = "cmd"}, {.key = "id"}};
+
+struct Command {
+    std::string_view name;
+    std::span<const Option> keys;
+    std::optional<api::Stage> stage;
+};
+constexpr Command kCommands[] = {
+    {"load", kLoadKeys, std::nullopt},        {"learn", kLearnKeys, api::Stage::Learn},
+    {"atpg", kDesignKeys, api::Stage::Atpg},  {"fault_sim", kDesignKeys, api::Stage::FaultSim},
+    {"stats", kDesignKeys, std::nullopt},     {"cancel", kCancelKeys, std::nullopt},
+    {"shutdown", kShutdownKeys, std::nullopt}};
 
 /// Common response head: {"ok": ..., "cmd": ..., "id": ..., "code": N
 std::string head(bool ok, std::string_view cmd, const std::string& id, ProtoCode code) {
@@ -82,19 +79,40 @@ std::string fmt_double(double v, const char* fmt = "%.4f") {
     return buf;
 }
 
-/// Parse the shared governance fields (deadline_ms / limit knobs) into a
-/// BudgetSpec. Absent fields leave the spec unlimited.
-exec::BudgetSpec budget_from(const JsonValue& req, const char* item_key) {
-    exec::BudgetSpec spec;
-    const double deadline = req.get_number("deadline_ms", 0.0);
-    if (deadline > 0) spec.deadline = std::chrono::milliseconds(
-        static_cast<long long>(deadline));
-    const double items = req.get_number(item_key, 0.0);
-    if (items > 0) spec.max_items = static_cast<std::size_t>(items);
-    return spec;
+/// A learn reply; warm ones come from the cache entry's promoted result.
+std::string learn_reply(const std::string& id, std::uint64_t digest, bool warm,
+                        const core::LearnResult& res) {
+    std::string out = head(true, "learn", id, code_for(res.outcome));
+    out += ", \"design\": \"" + hex_u64(digest) + "\"";
+    out += warm ? ", \"warm\": true" : ", \"warm\": false";
+    out += ", \"relations\": " + std::to_string(res.db.size());
+    out += ", \"ties\": " + std::to_string(res.ties.count());
+    out += ", \"equiv_classes\": " + std::to_string(res.stats.equiv_classes);
+    out += ", \"stems_processed\": " + std::to_string(res.stats.stems_processed);
+    if (res.stats.sat_probes > 0) {
+        out += ", \"sat_probes\": " + std::to_string(res.stats.sat_probes);
+        out += ", \"sat_ties\": " + std::to_string(res.stats.sat_ties);
+        out += ", \"sat_relations\": " + std::to_string(res.stats.sat_relations);
+    }
+    out += ", \"cpu_seconds\": " + fmt_double(res.stats.cpu_seconds, "%.3f");
+    out += ", \"relation_hash\": \"" + hex_u64(core::relation_hash(res.db)) + "\"";
+    out += ", \"outcome\": " + outcome_json(res.outcome);
+    out += "}";
+    return out;
 }
 
 }  // namespace
+
+std::string parse_request(const JsonValue& req, unsigned threads, api::SessionConfig& run) {
+    const std::string cmd = req.get_string("cmd");
+    const auto command = std::find_if(std::begin(kCommands), std::end(kCommands),
+                                      [&](const Command& c) { return c.name == cmd; });
+    if (cmd.empty()) return "request has no \"cmd\" member";
+    if (command == std::end(kCommands)) return "unknown command \"" + cmd + "\"";
+    run.threads = threads;
+    return parse_options(req, cmd, command->stage, command->keys,
+                         threads == 0 ? exec::Pool::hardware_threads() : threads, run);
+}
 
 struct Service::Resolved {
     DesignCache::Entry entry;
@@ -212,20 +230,16 @@ std::string Service::dispatch(std::string_view frame) {
     }
     const std::string cmd = doc->get_string("cmd");
     std::string id = doc->get_string("id");
+    api::SessionConfig run;
+    if (const std::string usage = parse_request(*doc, cfg_.threads, run); !usage.empty()) {
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        return error_response(cmd, id, ProtoCode::Usage, "usage", usage);
+    }
 
     // Control plane: never queued, never blocked by a full session pool.
     if (cmd == "stats") return cmd_stats(*doc, id);
     if (cmd == "cancel") return cmd_cancel(*doc, id);
     if (cmd == "shutdown") return cmd_shutdown(id);
-
-    const bool heavy =
-        cmd == "load" || cmd == "learn" || cmd == "atpg" || cmd == "fault_sim";
-    if (!heavy) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return error_response(cmd, id, ProtoCode::Usage, "usage",
-                              cmd.empty() ? "request has no \"cmd\" member"
-                                          : "unknown command \"" + cmd + "\"");
-    }
     if (draining_.load(std::memory_order_acquire)) {
         return error_response(cmd, id, ProtoCode::Cancelled, "shutting_down",
                               "server is draining; request rejected");
@@ -242,9 +256,18 @@ std::string Service::dispatch(std::string_view frame) {
         id = "r" + std::to_string(
                  next_request_seq_.fetch_add(1, std::memory_order_relaxed));
     if (cmd == "load") return cmd_load(*doc, id);
-    if (cmd == "learn") return cmd_learn(*doc, id);
-    if (cmd == "atpg") return cmd_atpg(*doc, id);
-    return cmd_fault_sim(*doc, id);
+    InflightGuard inflight(*this, id);
+    run.progress = [cancel = inflight.flag(), this](const api::Progress&) {
+        return !cancel->load(std::memory_order_acquire) && !draining();
+    };
+    Resolved r = resolve(*doc, cmd, id);
+    if (!r.error.empty()) {
+        errors_.fetch_add(1, std::memory_order_relaxed);
+        return r.error;
+    }
+    if (cmd == "learn") return cmd_learn(*doc, id, r.entry, std::move(run));
+    if (cmd == "atpg") return cmd_atpg(id, r.entry, std::move(run));
+    return cmd_fault_sim(id, r.entry, std::move(run));
 }
 
 std::string Service::cmd_load(const JsonValue& req, const std::string& id) {
@@ -362,48 +385,22 @@ void Service::store_write_through(const DesignCache::Entry& entry,
     st->put(entry.digest, *entry.bench, std::move(buf).str(), &error);
 }
 
-std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
-    Resolved r = resolve(req, "learn", id);
-    if (!r.error.empty()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return r.error;
-    }
-    const bool force = req.get_bool("force", false);
-    const double frames = req.get_number("frames", 0.0);
-    const double sat_frames = req.get_number("sat_frames", 0.0);
+std::string Service::cmd_learn(const JsonValue& req, const std::string& id,
+                               const DesignCache::Entry& entry, api::SessionConfig run) {
+    // The cache entry holds the default config's result: a request whose
+    // config fingerprints the same (budgets and workers change how a run
+    // goes, not what it learns) may be served it, and may promote its own.
+    const bool default_config = core::learn_config_digest(run.learn) ==
+                                core::learn_config_digest(core::LearnConfig{});
 
     // Warm path: a previous request's completed learn is attached to the
-    // cache entry; with no result-affecting override, serve it directly —
-    // no Session, no simulation, microseconds.
-    if (!force && frames <= 0 && sat_frames <= 0 && r.entry.learned) {
-        const core::LearnResult& res = r.entry.learned->result();
-        std::string out = head(true, "learn", id, ProtoCode::Ok);
-        out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
-        out += ", \"warm\": true";
-        out += ", \"relations\": " + std::to_string(res.db.size());
-        out += ", \"ties\": " + std::to_string(res.ties.count());
-        out += ", \"equiv_classes\": " + std::to_string(res.stats.equiv_classes);
-        out += ", \"stems_processed\": " + std::to_string(res.stats.stems_processed);
-        out += ", \"cpu_seconds\": " + fmt_double(res.stats.cpu_seconds, "%.3f");
-        out += ", \"relation_hash\": \"" + hex_u64(core::relation_hash(res.db)) + "\"";
-        out += ", \"outcome\": " + outcome_json(res.outcome);
-        out += "}";
-        return out;
-    }
+    // cache entry; serve it directly — no Session, no simulation,
+    // microseconds.
+    if (!req.get_bool("force", false) && default_config && entry.learned)
+        return learn_reply(id, entry.digest, true, entry.learned->result());
 
-    InflightGuard inflight(*this, id);
-    const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
-    api::SessionConfig scfg;
-    scfg.threads = static_cast<unsigned>(req.get_number("threads", cfg_.threads));
-    scfg.progress = [cancel, this](const api::Progress&) {
-        return !cancel->load(std::memory_order_acquire) && !draining();
-    };
-    api::Session session(r.entry.design, std::move(scfg));
-
-    core::LearnConfig lcfg;
-    if (frames > 0) lcfg.max_frames = static_cast<std::uint32_t>(frames);
-    if (sat_frames > 0) lcfg.sat_frames = static_cast<std::uint32_t>(sat_frames);
-    lcfg.budget = budget_from(req, "limit_stems");
+    const core::LearnConfig lcfg = run.learn;
+    api::Session session(entry.design, std::move(run));
     const core::LearnResult& res = session.learn(lcfg);
     if (res.outcome.status == exec::RunStatus::Cancelled)
         cancelled_.fetch_add(1, std::memory_order_relaxed);
@@ -411,130 +408,49 @@ std::string Service::cmd_learn(const JsonValue& req, const std::string& id) {
     // Promote a complete default-config result to the cache entry (every
     // later learn/atpg/stats on this circuit is served warm) and write it
     // through to the durable store (every later *process* too).
-    if (res.outcome.ok() && frames <= 0 && sat_frames <= 0) {
+    if (res.outcome.ok() && default_config) {
         const std::shared_ptr<const core::LearnedSnapshot> snap =
             session.freeze_learned();
-        cache_.attach_learned(r.entry.digest, snap);
-        if (snap) store_write_through(r.entry, *snap);
+        cache_.attach_learned(entry.digest, snap);
+        if (snap) store_write_through(entry, *snap);
     }
 
-    std::string out = head(true, "learn", id, code_for(res.outcome));
-    out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
-    out += ", \"warm\": false";
-    out += ", \"relations\": " + std::to_string(res.db.size());
-    out += ", \"ties\": " + std::to_string(res.ties.count());
-    out += ", \"equiv_classes\": " + std::to_string(res.stats.equiv_classes);
-    out += ", \"stems_processed\": " + std::to_string(res.stats.stems_processed);
-    if (res.stats.sat_probes > 0) {
-        out += ", \"sat_probes\": " + std::to_string(res.stats.sat_probes);
-        out += ", \"sat_ties\": " + std::to_string(res.stats.sat_ties);
-        out += ", \"sat_relations\": " + std::to_string(res.stats.sat_relations);
-    }
-    out += ", \"cpu_seconds\": " + fmt_double(res.stats.cpu_seconds, "%.3f");
-    out += ", \"relation_hash\": \"" + hex_u64(core::relation_hash(res.db)) + "\"";
-    out += ", \"outcome\": " + outcome_json(res.outcome);
-    out += "}";
-    return out;
+    return learn_reply(id, entry.digest, false, res);
 }
 
-std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
-    Resolved r = resolve(req, "atpg", id);
-    if (!r.error.empty()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return r.error;
-    }
-    const std::string mode_s = req.get_string("mode", "forbidden");
-    atpg::AtpgConfig acfg;
-    acfg.backtrack_limit =
-        static_cast<std::uint32_t>(req.get_number("backtracks", 30.0));
-    acfg.budget = budget_from(req, "limit_faults");
-    if (mode_s == "none") {
-        acfg.mode = atpg::LearnMode::None;
-    } else if (mode_s == "forbidden" || mode_s == "known") {
-        acfg.mode = mode_s == "known" ? atpg::LearnMode::KnownValue
-                                      : atpg::LearnMode::ForbiddenValue;
-        acfg.count_c_cycle_redundant = true;
-    } else {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown mode \"" + mode_s +
-                                  "\" (want none, forbidden, or known)");
-    }
-    const std::string backend_s = req.get_string("backend", "framesim");
-    if (!cnf::parse_backend(backend_s, acfg.backend)) {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown backend \"" + backend_s +
-                                  "\" (want framesim, sat, or auto)");
-    }
-    acfg.sat_frames = static_cast<std::uint32_t>(req.get_number("sat_frames", 0.0));
-    const std::string order_s = req.get_string("order", "index");
-    if (const auto parsed = guide::parse_order(order_s)) {
-        acfg.order = *parsed;
-    } else {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown order \"" + order_s +
-                                  "\" (want index, level, scoap_hard_first, or random)");
-    }
-    acfg.order_seed = static_cast<std::uint64_t>(req.get_number("order_seed", 1.0));
-    const std::string guidance_s = req.get_string("guidance", "none");
-    if (const auto parsed = guide::parse_guidance(guidance_s)) {
-        acfg.guidance = *parsed;
-    } else {
-        return error_response("atpg", id, ProtoCode::Usage, "usage",
-                              "unknown guidance \"" + guidance_s +
-                                  "\" (want none or scoap)");
-    }
-    acfg.rand_warmup =
-        static_cast<std::size_t>(req.get_number("rand_warmup", 0.0));
-    const std::string fill_s = req.get_string("fill", "");
-    if (!fill_s.empty()) {
-        // A `fill` key turns on the static-compaction pass, like the CLI's
-        // --fill flag.
-        const auto parsed = guide::parse_fill(fill_s);
-        if (!parsed) {
-            return error_response("atpg", id, ProtoCode::Usage, "usage",
-                                  "unknown fill \"" + fill_s +
-                                      "\" (want x, zero, one, or random)");
-        }
-        acfg.compact = true;
-        acfg.fill = *parsed;
-    }
-    InflightGuard inflight(*this, id);
-    const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
-    api::SessionConfig scfg;
-    scfg.threads = static_cast<unsigned>(req.get_number("threads", cfg_.threads));
-    scfg.progress = [cancel, this](const api::Progress&) {
-        return !cancel->load(std::memory_order_acquire) && !draining();
-    };
-    api::Session session(r.entry.design, std::move(scfg));
+std::string Service::cmd_atpg(const std::string& id, const DesignCache::Entry& entry,
+                              api::SessionConfig run) {
+    const atpg::AtpgConfig acfg = run.atpg;
+    api::Session session(entry.design, std::move(run));
 
     // Warm path: reuse the cache entry's learned snapshot (no re-learn).
     // Cold: the Session learns on demand with the default LearnConfig — the
     // config cmd_learn promotes — and that result is promoted for later
     // requests when it completed. Learning does not depend on the ATPG
     // strategy keys, so every request shares the one snapshot.
-    const bool warm = r.entry.learned != nullptr;
+    const bool warm = entry.learned != nullptr;
     if (acfg.mode != atpg::LearnMode::None) {
-        if (warm) session.use_learned(r.entry.learned);
+        if (warm) session.use_learned(entry.learned);
         else {
             const core::LearnResult& learned = session.learn();
             if (learned.outcome.ok()) {
                 const std::shared_ptr<const core::LearnedSnapshot> snap =
                     session.freeze_learned();
-                cache_.attach_learned(r.entry.digest, snap);
-                if (snap) store_write_through(r.entry, *snap);
+                cache_.attach_learned(entry.digest, snap);
+                if (snap) store_write_through(entry, *snap);
             }
         }
     }
 
-    const api::AtpgReport& report = session.atpg(std::move(acfg));
+    const api::AtpgReport& report = session.atpg(acfg);
     if (report.outcome.run.status == exec::RunStatus::Cancelled)
         cancelled_.fetch_add(1, std::memory_order_relaxed);
     const auto c = report.list.counts();
     std::string out = head(true, "atpg", id, code_for(report.outcome.run));
-    out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
+    out += ", \"design\": \"" + hex_u64(entry.digest) + "\"";
     out += warm ? ", \"warm\": true" : ", \"warm\": false";
-    out += ", \"mode\": \"" + mode_s + "\"";
-    out += ", \"backend\": \"" + backend_s + "\"";
+    out += ", \"mode\": \"" + std::string(atpg::learn_mode_name(acfg.mode)) + "\"";
+    out += ", \"backend\": \"" + std::string(cnf::backend_name(acfg.backend)) + "\"";
     out += ", \"total\": " + std::to_string(c.total);
     out += ", \"detected\": " + std::to_string(c.detected);
     out += ", \"untestable\": " + std::to_string(c.untestable);
@@ -542,8 +458,8 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
     out += ", \"undetected\": " + std::to_string(c.undetected);
     out += ", \"test_coverage\": " + fmt_double(report.list.test_coverage());
     out += ", \"tests\": " + std::to_string(report.outcome.tests.size());
-    out += ", \"order\": \"" + order_s + "\"";
-    out += ", \"guidance\": \"" + guidance_s + "\"";
+    out += ", \"order\": \"" + std::string(guide::order_name(acfg.order)) + "\"";
+    out += ", \"guidance\": \"" + std::string(guide::guidance_name(acfg.guidance)) + "\"";
     out += ", \"patterns\": {\"count\": " + std::to_string(report.outcome.tests.size());
     out += ", \"total_frames\": " + std::to_string(report.outcome.pattern_frames);
     out += ", \"compaction_before\": " +
@@ -569,32 +485,10 @@ std::string Service::cmd_atpg(const JsonValue& req, const std::string& id) {
     return out;
 }
 
-std::string Service::cmd_fault_sim(const JsonValue& req, const std::string& id) {
-    Resolved r = resolve(req, "fault_sim", id);
-    if (!r.error.empty()) {
-        errors_.fetch_add(1, std::memory_order_relaxed);
-        return r.error;
-    }
-    const std::string mode_s = req.get_string("mode", "forbidden");
-    if (mode_s != "none" && mode_s != "forbidden" && mode_s != "known")
-        return error_response("fault_sim", id, ProtoCode::Usage, "usage",
-                              "unknown mode \"" + mode_s +
-                                  "\" (want none, forbidden, or known)");
-    InflightGuard inflight(*this, id);
-    const std::shared_ptr<std::atomic<bool>> cancel = inflight.flag();
-    api::SessionConfig scfg;
-    scfg.threads = static_cast<unsigned>(req.get_number("threads", cfg_.threads));
-    scfg.budget = budget_from(req, "limit_sequences");
-    if (mode_s != "none") {
-        scfg.atpg.mode = mode_s == "known" ? atpg::LearnMode::KnownValue
-                                           : atpg::LearnMode::ForbiddenValue;
-        scfg.atpg.count_c_cycle_redundant = true;
-    }
-    scfg.progress = [cancel, this](const api::Progress&) {
-        return !cancel->load(std::memory_order_acquire) && !draining();
-    };
-    api::Session session(r.entry.design, std::move(scfg));
-    if (r.entry.learned) session.use_learned(r.entry.learned);
+std::string Service::cmd_fault_sim(const std::string& id, const DesignCache::Entry& entry,
+                                   api::SessionConfig run) {
+    api::Session session(entry.design, std::move(run));
+    if (entry.learned) session.use_learned(entry.learned);
 
     // Generate the campaign (warm learned data when cached), then validate
     // its tests with the independent fault simulator — the CLI's atpg +
@@ -603,7 +497,7 @@ std::string Service::cmd_fault_sim(const JsonValue& req, const std::string& id) 
     if (report.outcome.status == exec::RunStatus::Cancelled)
         cancelled_.fetch_add(1, std::memory_order_relaxed);
     std::string out = head(true, "fault_sim", id, code_for(report.outcome));
-    out += ", \"design\": \"" + hex_u64(r.entry.digest) + "\"";
+    out += ", \"design\": \"" + hex_u64(entry.digest) + "\"";
     out += ", \"total\": " + std::to_string(report.total);
     out += ", \"detected\": " + std::to_string(report.detected);
     out += ", \"sequences\": " + std::to_string(report.sequences);

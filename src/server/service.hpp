@@ -36,6 +36,7 @@
 // Thread safety: handle() may be called from any number of transport
 // threads concurrently.
 
+#include "api/session.hpp"
 #include "server/design_cache.hpp"
 #include "server/snapshot_store.hpp"
 
@@ -62,6 +63,17 @@ enum class ProtoCode : int {
     Overloaded = 7,
 };
 
+/// The protocol code of a stage outcome — also the CLI's exit code.
+ProtoCode code_for(const exec::RunOutcome& o);
+
+class JsonValue;
+
+/// Check a request's "cmd", that command's own keys and the knobs of its
+/// stage (server/options.hpp) into `run`. `threads`, the daemon's worker
+/// count, is the default and ceiling of a request's "threads". Returns the
+/// usage error, or "".
+std::string parse_request(const JsonValue& req, unsigned threads, api::SessionConfig& run);
+
 struct ServiceConfig {
     /// Heavy commands (load/learn/atpg/fault_sim) running at once.
     std::size_t max_sessions = 4;
@@ -70,8 +82,8 @@ struct ServiceConfig {
     std::chrono::milliseconds queue_timeout{30000};
     /// Content-addressed Design cache sizing (LRU byte cap).
     DesignCache::Config cache;
-    /// Worker threads per running stage (0 = hardware_concurrency).
-    /// Results are bit-identical at any setting.
+    /// Worker threads per running stage (0 = hardware_concurrency), and the
+    /// most a request may ask for. Results are bit-identical at any setting.
     unsigned threads = 1;
     /// Durable snapshot store (null = in-memory only). When set, the first
     /// completed full learn of a design writes through, and a digest that
@@ -132,10 +144,14 @@ private:
     class InflightGuard;
 
     std::string dispatch(std::string_view frame);
-    std::string cmd_load(const class JsonValue& req, const std::string& id);
-    std::string cmd_learn(const JsonValue& req, const std::string& id);
-    std::string cmd_atpg(const JsonValue& req, const std::string& id);
-    std::string cmd_fault_sim(const JsonValue& req, const std::string& id);
+    std::string cmd_load(const JsonValue& req, const std::string& id);
+    // The stage commands, after dispatch resolved the request's design.
+    std::string cmd_learn(const JsonValue& req, const std::string& id,
+                          const DesignCache::Entry& entry, api::SessionConfig run);
+    std::string cmd_atpg(const std::string& id, const DesignCache::Entry& entry,
+                         api::SessionConfig run);
+    std::string cmd_fault_sim(const std::string& id, const DesignCache::Entry& entry,
+                              api::SessionConfig run);
     std::string cmd_stats(const JsonValue& req, const std::string& id);
     std::string cmd_cancel(const JsonValue& req, const std::string& id);
     std::string cmd_shutdown(const std::string& id);

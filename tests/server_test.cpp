@@ -302,6 +302,48 @@ TEST(ServerDeterminism, GuidedAtpgOnWarmDesignReusesSnapshot) {
     EXPECT_EQ(relearn.get_string("relation_hash"), learned.get_string("relation_hash"));
 }
 
+// A request that states a learn knob at its default value asks for the
+// result the cache entry already holds: it is served warm, not relearned.
+TEST(ServerDeterminism, ExplicitDefaultLearnKnobServesWarm) {
+    server::Service svc{server::ServiceConfig{}};
+    const std::string bench =
+        netlist::write_bench_string(workload::suite_circuit("fig1x"));
+    auto loaded = JsonValue::parse(svc.handle(load_frame(bench, "fig1x")), nullptr);
+    ASSERT_TRUE(loaded && loaded->get_bool("ok"));
+    const std::string digest = loaded->get_string("design");
+
+    auto cold = JsonValue::parse(
+        svc.handle("{\"cmd\": \"learn\", \"design\": \"" + digest + "\"}"), nullptr);
+    ASSERT_TRUE(cold && cold->get_bool("ok"));
+    EXPECT_FALSE(cold->get_bool("warm"));
+    auto stated = JsonValue::parse(
+        svc.handle("{\"cmd\": \"learn\", \"design\": \"" + digest + "\", \"frames\": 50}"),
+        nullptr);
+    ASSERT_TRUE(stated && stated->get_bool("ok"));
+    EXPECT_TRUE(stated->get_bool("warm"));
+    EXPECT_EQ(stated->get_string("relation_hash"), cold->get_string("relation_hash"));
+}
+
+// A request may not ask for more workers than the daemon runs with: each
+// worker is an OS thread the client would otherwise start at will.
+TEST(ServerRobustness, RequestThreadsAboveServiceThreadsIsAUsageError) {
+    server::ServiceConfig cfg;
+    cfg.threads = 1;
+    server::Service svc(cfg);
+    const std::string bench = netlist::write_bench_string(workload::suite_circuit("s27"));
+    auto loaded = JsonValue::parse(svc.handle(load_frame(bench, "s27")), nullptr);
+    ASSERT_TRUE(loaded && loaded->get_bool("ok"));
+    auto r = JsonValue::parse(
+        svc.handle("{\"cmd\": \"atpg\", \"design\": \"" + loaded->get_string("design") +
+                   "\", \"threads\": 2}"),
+        nullptr);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_FALSE(r->get_bool("ok"));
+    EXPECT_EQ(r->get_number("code"), 2);
+    ASSERT_NE(r->get("error"), nullptr);
+    EXPECT_EQ(r->get("error")->get_string("message"), "threads: 2 is above the maximum 1");
+}
+
 // --- cache eviction under a tight cap --------------------------------------
 
 TEST(ServerCache, EvictionUnderTightCapKeepsServing) {
