@@ -4,6 +4,7 @@
 // its base commit, so the schema is deliberately small and stable:
 //
 //   { "circuit": "gen5378",
+//     "host": {"nproc": ..., "cpu": ...},
 //     "benchmarks": [ {"name": ..., "items_per_sec": ..., "seconds": ...,
 //                      "items": ..., "threads": ...}, ... ] }
 //
@@ -51,6 +52,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -90,6 +92,23 @@ Row measure(std::string name, std::size_t items_per_rep, double min_seconds, Bod
 }
 
 double g_min_seconds = 2.0;
+
+// The "model name" of the first CPU in /proc/cpuinfo ("unknown" elsewhere),
+// so a BENCH_sim.json records the host its numbers came from.
+std::string cpu_model() {
+    std::ifstream in("/proc/cpuinfo");
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("model name", 0) != 0) continue;
+        const std::size_t colon = line.find(':');
+        const std::size_t start =
+            colon == std::string::npos ? colon : line.find_first_not_of(' ', colon + 1);
+        if (start == std::string::npos) break;
+        std::string model = line.substr(start);
+        std::erase_if(model, [](char c) { return c == '"' || c == '\\'; });
+        return model;
+    }
+    return "unknown";
+}
 
 Row bench_frame_sim(const Netlist& nl) {
     sim::FrameSimulator fsim(nl, sim::SeqGating::all_open(nl));
@@ -494,17 +513,20 @@ Row bench_scenario(const std::string& circuit, const Netlist& nl,
 }
 
 Row bench_sat_untestable(const Netlist& nl, const netlist::Topology& topo) {
-    // CNF backend classification throughput: prove_fault (fresh miter +
-    // solver per fault, the campaign's SAT-phase pattern) over the collapsed
-    // universe at K = 4 frames, one fault per rep, round-robin. Every rep
-    // ends in a definitive verdict — witness or untestable-within-K — and
-    // the split lands in extra so coverage shifts are visible in the diff.
+    // CNF backend classification throughput in the campaign's SAT-phase
+    // pattern: one FaultMiter per design (the good machine encoded once,
+    // before the timed loop), then one proof per rep over the collapsed
+    // universe at K = 4 frames, round-robin — each proof copies the base and
+    // encodes only its fault's cone. Every rep ends in a definitive verdict —
+    // witness or untestable-within-K — and the split lands in extra so
+    // coverage shifts are visible in the diff.
     const fault::CollapsedFaults collapsed = fault::collapse(nl);
     const auto& reps = collapsed.representatives();
     std::size_t i = 0, untestable = 0, witnesses = 0;
+    cnf::FaultMiter miter(topo, 4, nullptr);
     Row row = measure("sat_untestable", 1, g_min_seconds, [&] {
-        const cnf::CnfVerdict v = cnf::prove_fault(topo, reps[i++ % reps.size()], 4,
-                                                   nullptr, nullptr, nullptr);
+        const cnf::CnfVerdict v =
+            cnf::prove_fault(miter, reps[i++ % reps.size()], nullptr, nullptr);
         if (v.kind == cnf::CnfVerdict::Kind::Untestable) ++untestable;
         else if (v.kind == cnf::CnfVerdict::Kind::Test) ++witnesses;
     });
@@ -737,7 +759,9 @@ int main(int argc, char** argv) {
                                       guide::Guidance::Scoap, cnf::Backend::Auto));
     }
 
-    std::string json = "{\n  \"circuit\": \"gen5378\",\n  \"benchmarks\": [\n";
+    std::string json = "{\n  \"circuit\": \"gen5378\",\n  \"host\": {\"nproc\": " +
+                       std::to_string(hw) + ", \"cpu\": \"" + cpu_model() +
+                       "\"},\n  \"benchmarks\": [\n";
     for (std::size_t i = 0; i < rows.size(); ++i) {
         char buf[256];
         std::snprintf(buf, sizeof buf,

@@ -6,19 +6,34 @@
 //   $ ./atpg_flow [suite-circuit-name] [backtrack-limit]
 //
 // Defaults: rt510a (a retimed, low-density-of-encoding circuit) at limit 30.
+// The limit is the `backtracks` knob and is checked like the CLI's
+// --backtracks: anything but a whole number in its range exits 2.
 
 #include "api/session.hpp"
+#include "server/options.hpp"
 #include "workload/suite.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 int main(int argc, char** argv) {
     using namespace seqlearn;
     const std::string name = argc > 1 ? argv[1] : "rt510a";
-    const auto backtrack_limit =
-        static_cast<std::uint32_t>(argc > 2 ? std::atoi(argv[2]) : 30);
+    std::string flag = "--backtracks";
+    std::vector<char*> args;
+    if (argc > 2) args = {flag.data(), argv[2]};
+    server::JsonValue request;
+    api::SessionConfig knobs;
+    const std::string err = argc > 3 ? "unexpected argument \"" + std::string(argv[3]) + "\""
+                                     : server::parse_args(args, "atpg_flow", api::Stage::Atpg,
+                                                          {}, request, knobs);
+    if (!err.empty()) {
+        std::fprintf(stderr, "error: %s\nusage: %s [suite-circuit-name] [backtrack-limit]\n",
+                     err.c_str(), argv[0]);
+        return 2;
+    }
+    const std::uint32_t backtrack_limit = knobs.atpg.backtrack_limit;
 
     // The paper flow is one-producer/many-consumers: learn once, then let
     // every campaign consume the frozen result. Compile the circuit into an

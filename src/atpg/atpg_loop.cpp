@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 namespace seqlearn::atpg {
 
@@ -272,6 +273,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
             sat_targets.insert(sat_targets.end(), aborted.begin(), aborted.end());
             std::sort(sat_targets.begin(), sat_targets.end());
         }
+        std::optional<cnf::FaultMiter> miter;  // the good machine, built at the first target
         for (const std::size_t i : sat_targets) {
             const FaultStatus before = list.status(i);
             if (before != FaultStatus::Undetected && before != FaultStatus::Aborted)
@@ -283,8 +285,8 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
             }
             if (cfg.failpoint != nullptr) cfg.failpoint->poll(exec::FailSite::WorkItem);
             ++out.sat_targeted;
-            cnf::CnfVerdict v =
-                cnf::prove_fault(topo, list.fault(i), sat_k, ties, cfg.cancel, budget);
+            if (!miter) miter.emplace(topo, sat_k, ties);
+            cnf::CnfVerdict v = cnf::prove_fault(*miter, list.fault(i), cfg.cancel, budget);
             switch (v.kind) {
                 case cnf::CnfVerdict::Kind::Untestable:
                     list.set_status(i, v.proof == fault::UntestableProof::Structural

@@ -1,24 +1,20 @@
 #include "cnf/dispatch.hpp"
 
-#include "cnf/encoder.hpp"
-
 namespace seqlearn::cnf {
 
-CnfVerdict prove_fault(const netlist::Topology& topo, const fault::Fault& f,
-                       std::uint32_t frames, const core::TieSet* ties,
+CnfVerdict prove_fault(FaultMiter& miter, const fault::Fault& f,
                        const exec::CancelFlag* cancel, exec::Budget* budget) {
     CnfVerdict v;
-    v.frames = frames;
-    Solver solver;
-    solver.set_governance(cancel, budget);
-    FaultMiter miter(topo, solver);
-    if (!miter.encode(f, frames, ties)) {
+    v.frames = miter.frames();
+    if (!miter.encode(f)) {
         // The fault's cone reaches no primary output: untestable for every
         // sequence length, no solve needed.
         v.kind = CnfVerdict::Kind::Untestable;
         v.proof = fault::UntestableProof::Structural;
         return v;
     }
+    Solver& solver = miter.solver();
+    solver.set_governance(cancel, budget);
     const SolveResult r = solver.solve();
     v.conflicts = solver.conflicts();
     v.run = r.run;
@@ -29,13 +25,20 @@ CnfVerdict prove_fault(const netlist::Topology& topo, const fault::Fault& f,
             break;
         case SolveStatus::Sat:
             v.kind = CnfVerdict::Kind::Test;
-            v.test = miter.witness(solver);
+            v.test = miter.witness();
             break;
         case SolveStatus::Stopped:
             v.kind = CnfVerdict::Kind::Unknown;
             break;
     }
     return v;
+}
+
+CnfVerdict prove_fault(const netlist::Topology& topo, const fault::Fault& f,
+                       std::uint32_t frames, const core::TieSet* ties,
+                       const exec::CancelFlag* cancel, exec::Budget* budget) {
+    FaultMiter miter(topo, frames, ties);
+    return prove_fault(miter, f, cancel, budget);
 }
 
 bool route_to_sat(const netlist::Topology& topo, const fault::Fault& f,

@@ -2,8 +2,11 @@
 // Per-fault CNF proving and cost-based backend routing — the glue between
 // the ATPG campaign and the timeframe-expansion backend.
 //
-// prove_fault builds a fresh FaultMiter + Solver for one fault and solves
-// the K-frame detection problem. Sat decodes to a witness input sequence
+// prove_fault solves one fault's K-frame detection problem on a FaultMiter:
+// the miter's good machine is encoded once per (topology, K, ties), and each
+// proof copies it and adds only the fault's cone, so a campaign builds one
+// miter and proves every SAT target on it. The one-shot overload builds a
+// miter for a single fault. Sat decodes to a witness input sequence
 // (the caller validates it through the independent FaultSimulator before
 // taking credit); Unsat is a sound "untestable within K frames" proof under
 // the tester model; a governance stop surfaces as Unknown with the matching
@@ -17,6 +20,7 @@
 // density inside the cone (tied cones make UNSAT proofs cheap, and
 // tie-heavy cones are where frame-sim ATPG aborts most).
 
+#include "cnf/encoder.hpp"
 #include "cnf/solver.hpp"
 #include "core/tie.hpp"
 #include "fault/fault.hpp"
@@ -61,9 +65,15 @@ struct CnfVerdict {
     exec::RunOutcome run;        ///< Completed, or the governance stop
 };
 
-/// Solve the K-frame detection problem for `f` with a fresh solver. `ties`
-/// must be the same tie set the validating FaultSimulator is configured
-/// with (null = none). Deterministic; polls governance inside the solve.
+/// Solve the detection problem for `f` over `miter`'s frames and ties.
+/// The verdict depends only on the miter's (topology, frames, ties) and
+/// `f`, never on the faults proved on it before. Deterministic; polls
+/// governance inside the solve.
+CnfVerdict prove_fault(FaultMiter& miter, const fault::Fault& f,
+                       const exec::CancelFlag* cancel, exec::Budget* budget);
+
+/// One-shot: build a miter and prove `f` on it. `ties` must be the same tie
+/// set the validating FaultSimulator is configured with (null = none).
 CnfVerdict prove_fault(const netlist::Topology& topo, const fault::Fault& f,
                        std::uint32_t frames, const core::TieSet* ties,
                        const exec::CancelFlag* cancel, exec::Budget* budget);

@@ -9,11 +9,11 @@ using logic::Val3;
 
 namespace {
 
-// out <-> AND(ins). With constant or duplicate literals the solver's
-// top-level simplification cleans the clauses up.
-void emit_and(Solver& s, Lit out, std::span<const Lit> ins) {
-    std::vector<Lit> big;
-    big.reserve(ins.size() + 1);
+// out <-> AND(ins); `big` is the caller's scratch for the long clause.
+// With constant or duplicate literals the solver's top-level
+// simplification cleans the clauses up.
+void emit_and(Solver& s, Lit out, std::span<const Lit> ins, std::vector<Lit>& big) {
+    big.clear();
     big.push_back(out);
     for (const Lit in : ins) {
         s.add_clause({~out, in});
@@ -23,9 +23,8 @@ void emit_and(Solver& s, Lit out, std::span<const Lit> ins) {
 }
 
 // out <-> OR(ins).
-void emit_or(Solver& s, Lit out, std::span<const Lit> ins) {
-    std::vector<Lit> big;
-    big.reserve(ins.size() + 1);
+void emit_or(Solver& s, Lit out, std::span<const Lit> ins, std::vector<Lit>& big) {
+    big.clear();
     big.push_back(~out);
     for (const Lit in : ins) {
         s.add_clause({out, ~in});
@@ -80,7 +79,7 @@ void BinaryUnroller::encode(std::uint32_t frames, const Seeds& seeds,
                 pos(s.new_var());
     }
 
-    std::vector<Lit> ins;
+    std::vector<Lit> ins, big;
     for (std::uint32_t t = 0; t < frames; ++t) {
         for (const GateId g : topo.schedule()) {
             const std::size_t idx = static_cast<std::size_t>(t) * topo.size() + g;
@@ -127,14 +126,14 @@ void BinaryUnroller::encode(std::uint32_t frames, const Seeds& seeds,
                 case GateOp::And:
                 case GateOp::Nand: {
                     const Lit v = pos(s.new_var());
-                    emit_and(s, topo.op(g) == GateOp::And ? v : ~v, ins);
+                    emit_and(s, topo.op(g) == GateOp::And ? v : ~v, ins, big);
                     lits_[idx] = v;
                     break;
                 }
                 case GateOp::Or:
                 case GateOp::Nor: {
                     const Lit v = pos(s.new_var());
-                    emit_or(s, topo.op(g) == GateOp::Or ? v : ~v, ins);
+                    emit_or(s, topo.op(g) == GateOp::Or ? v : ~v, ins, big);
                     lits_[idx] = v;
                     break;
                 }
@@ -185,57 +184,93 @@ void BinaryUnroller::encode(std::uint32_t frames, const Seeds& seeds,
 // ---------------------------------------------------------------------------
 // FaultMiter
 
-FaultMiter::FaultMiter(const netlist::Topology& topo, Solver& solver)
-    : topo_(&topo), solver_(&solver) {}
+FaultMiter::FaultMiter(const netlist::Topology& topo, std::uint32_t frames,
+                       const core::TieSet* ties)
+    : topo_(&topo), ties_(ties), frames_(frames) {
+    if (frames == 0) throw std::invalid_argument("FaultMiter: frames must be >= 1");
+    Solver& s = base_;
+    true_lit_ = pos(s.new_var());
+    s.add_clause({true_lit_});
+    const Lit false_lit = ~true_lit_;
+    const Rails one{true_lit_, false_lit}, zero{false_lit, true_lit_};
+    const Rails x{false_lit, false_lit};
 
-FaultMiter::Rails FaultMiter::fresh_rails() {
-    return {pos(solver_->new_var()), pos(solver_->new_var())};
+    const std::size_t n = topo.size();
+    const auto inputs = topo.inputs();
+    good_.assign(static_cast<std::size_t>(frames) * n, x);
+    faulty_.assign(static_cast<std::size_t>(frames) * n, x);
+    input_lits_.resize(static_cast<std::size_t>(frames) * inputs.size());
+    in_cone_.assign(n, 0);
+
+    for (std::uint32_t t = 0; t < frames; ++t) {
+        for (std::size_t i = 0; i < inputs.size(); ++i) {
+            const Lit b = pos(s.new_var());
+            input_lits_[static_cast<std::size_t>(t) * inputs.size() + i] = b;
+            good(inputs[i], t) = {b, ~b};
+        }
+        for (const GateId g : topo.schedule()) {
+            if (topo.is_input(g)) continue;
+            // Ties are applied like FaultSimulator's lane 0: the tied value
+            // wins at frames >= its proof cycle.
+            Rails& r = good(g, t);
+            if (tied(g, t)) {
+                r = ties->value(g) == Val3::One ? one : zero;
+            } else if (topo.is_const(g)) {
+                r = topo.op(g) == GateOp::Const1 ? one : zero;
+            } else if (topo.is_seq(g)) {
+                r = t == 0 ? x : good(topo.fanins(g)[0], t - 1);
+            } else {
+                ins_.clear();
+                for (const GateId fi : topo.fanins(g)) ins_.push_back(good(fi, t));
+                r = comb_rails(s, topo.op(g), ins_);
+            }
+        }
+    }
+}
+
+// The folded AND (`is_or` false) or OR of `lits`; see the header comment.
+Lit FaultMiter::fold(Solver& s, bool is_or, std::span<const Lit> lits) {
+    const Lit decides = is_or ? true_lit_ : ~true_lit_;
+    kept_.clear();
+    for (const Lit l : lits) {
+        if (l == decides) return decides;
+        if (l != ~decides) kept_.push_back(l);
+    }
+    if (kept_.empty()) return ~decides;
+    if (kept_.size() == 1) return kept_[0];
+    const Lit v = pos(s.new_var());
+    (is_or ? emit_or : emit_and)(s, v, kept_, clause_);
+    return v;
 }
 
 // Dual-rail Kleene encoding of one combinational operator: monotone clauses
 // on the is-one / is-zero rails, exactly logic::eval_op_indirect's algebra.
-FaultMiter::Rails FaultMiter::comb_rails(GateOp op, const std::vector<Rails>& ins) {
-    Solver& s = *solver_;
-    std::vector<Lit> ones, zeros;
-    ones.reserve(ins.size());
-    zeros.reserve(ins.size());
+FaultMiter::Rails FaultMiter::comb_rails(Solver& s, GateOp op, std::span<const Rails> ins) {
+    ones_.clear();
+    zeros_.clear();
     for (const Rails& r : ins) {
-        ones.push_back(r.one);
-        zeros.push_back(r.zero);
+        ones_.push_back(r.one);
+        zeros_.push_back(r.zero);
     }
-    auto and_of = [&](std::span<const Lit> lits) {
-        if (lits.size() == 1) return lits[0];
-        const Lit v = pos(s.new_var());
-        emit_and(s, v, lits);
-        return v;
-    };
-    auto or_of = [&](std::span<const Lit> lits) {
-        if (lits.size() == 1) return lits[0];
-        const Lit v = pos(s.new_var());
-        emit_or(s, v, lits);
-        return v;
-    };
     switch (op) {
         case GateOp::Buf: return ins[0];
         case GateOp::Not: return {ins[0].zero, ins[0].one};
-        case GateOp::And: return {and_of(ones), or_of(zeros)};
-        case GateOp::Nand: return {or_of(zeros), and_of(ones)};
-        case GateOp::Or: return {or_of(ones), and_of(zeros)};
-        case GateOp::Nor: return {and_of(zeros), or_of(ones)};
+        case GateOp::And: return {fold(s, false, ones_), fold(s, true, zeros_)};
+        case GateOp::Nand: return {fold(s, true, zeros_), fold(s, false, ones_)};
+        case GateOp::Or: return {fold(s, true, ones_), fold(s, false, zeros_)};
+        case GateOp::Nor: return {fold(s, false, zeros_), fold(s, true, ones_)};
         case GateOp::Xor:
         case GateOp::Xnor: {
             Rails acc = ins[0];
             for (std::size_t k = 1; k < ins.size(); ++k) {
                 const Rails b = ins[k];
-                const Lit p_and_n = and_of(std::initializer_list<Lit>{acc.one, b.zero});
-                const Lit n_and_p = and_of(std::initializer_list<Lit>{acc.zero, b.one});
-                const Lit p_and_p = and_of(std::initializer_list<Lit>{acc.one, b.one});
-                const Lit n_and_n = and_of(std::initializer_list<Lit>{acc.zero, b.zero});
-                const Lit one = pos(s.new_var());
-                const Lit zero = pos(s.new_var());
-                emit_or(s, one, std::initializer_list<Lit>{p_and_n, n_and_p});
-                emit_or(s, zero, std::initializer_list<Lit>{p_and_p, n_and_n});
-                acc = {one, zero};
+                const Lit p_and_n[] = {acc.one, b.zero};
+                const Lit n_and_p[] = {acc.zero, b.one};
+                const Lit p_and_p[] = {acc.one, b.one};
+                const Lit n_and_n[] = {acc.zero, b.zero};
+                const Lit one[] = {fold(s, false, p_and_n), fold(s, false, n_and_p)};
+                const Lit zero[] = {fold(s, false, p_and_p), fold(s, false, n_and_n)};
+                acc = {fold(s, true, one), fold(s, true, zero)};
             }
             if (op == GateOp::Xnor) return {acc.zero, acc.one};
             return acc;
@@ -246,25 +281,21 @@ FaultMiter::Rails FaultMiter::comb_rails(GateOp op, const std::vector<Rails>& in
     return {~true_lit_, ~true_lit_};
 }
 
-bool FaultMiter::encode(const fault::Fault& f, std::uint32_t frames,
-                        const core::TieSet* ties) {
-    if (frames == 0) throw std::invalid_argument("FaultMiter: frames must be >= 1");
+bool FaultMiter::encode(const fault::Fault& f) {
     const netlist::Topology& topo = *topo_;
-    Solver& s = *solver_;
-    frames_ = frames;
 
     // Fault cone: forward reachability from the fault site through both
     // combinational and sequential sinks (same closure FaultSimulator marks).
     in_cone_.assign(topo.size(), 0);
-    std::vector<GateId> stack{f.gate};
+    stack_.assign(1, f.gate);
     in_cone_[f.gate] = 1;
-    while (!stack.empty()) {
-        const GateId g = stack.back();
-        stack.pop_back();
+    while (!stack_.empty()) {
+        const GateId g = stack_.back();
+        stack_.pop_back();
         for (const GateId h : topo.fanouts(g)) {
             if (in_cone_[h] == 0) {
                 in_cone_[h] = 1;
-                stack.push_back(h);
+                stack_.push_back(h);
             }
         }
     }
@@ -272,140 +303,77 @@ bool FaultMiter::encode(const fault::Fault& f, std::uint32_t frames,
     for (const GateId o : topo.outputs()) observable |= in_cone_[o] != 0;
     if (!observable) return false;
 
-    true_lit_ = pos(s.new_var());
-    s.add_clause({true_lit_});
+    solver_ = base_;
+    Solver& s = solver_;
     const Lit false_lit = ~true_lit_;
-    const Rails x_rails{false_lit, false_lit};
-    const Rails stuck_rails = f.stuck == Val3::One ? Rails{true_lit_, false_lit}
-                                                  : Rails{false_lit, true_lit_};
-
-    const std::size_t n = topo.size();
-    good_one_.assign(static_cast<std::size_t>(frames) * n, false_lit);
-    good_zero_.assign(static_cast<std::size_t>(frames) * n, false_lit);
-    faulty_one_.assign(static_cast<std::size_t>(frames) * n, false_lit);
-    faulty_zero_.assign(static_cast<std::size_t>(frames) * n, false_lit);
-    input_lits_.assign(static_cast<std::size_t>(frames) * topo.inputs().size(), Lit{});
-
-    std::vector<std::uint32_t> input_index(n, 0);
-    const auto inputs = topo.inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-        input_index[inputs[i]] = static_cast<std::uint32_t>(i);
-
-    std::vector<Lit> detect_terms;
-    std::vector<Rails> ins;
-
-    auto set_good = [&](GateId g, std::uint32_t t, Rails r) {
-        const std::size_t k = static_cast<std::size_t>(t) * n + g;
-        good_one_[k] = r.one;
-        good_zero_[k] = r.zero;
-    };
-    auto set_faulty = [&](GateId g, std::uint32_t t, Rails r) {
-        const std::size_t k = static_cast<std::size_t>(t) * n + g;
-        faulty_one_[k] = r.one;
-        faulty_zero_[k] = r.zero;
-    };
-    auto faulty_rails = [&](GateId g, std::uint32_t t) -> Rails {
-        const std::size_t k = static_cast<std::size_t>(t) * n + g;
-        return {faulty_one_[k], faulty_zero_[k]};
-    };
-    auto tied_const = [&](GateId g, std::uint32_t t) -> const Rails* {
-        static Rails one_rails, zero_rails;
-        if (ties == nullptr) return nullptr;
-        const Val3 v = ties->value(g);
-        if (v == Val3::X || t < ties->cycle(g)) return nullptr;
-        one_rails = {true_lit_, false_lit};
-        zero_rails = {false_lit, true_lit_};
-        return v == Val3::One ? &one_rails : &zero_rails;
-    };
+    const Rails x{false_lit, false_lit};
+    const Rails stuck = f.stuck == Val3::One ? Rails{true_lit_, false_lit}
+                                             : Rails{false_lit, true_lit_};
     const bool out_fault = f.pin == fault::kOutputPin;
 
-    for (std::uint32_t t = 0; t < frames; ++t) {
-        for (const GateId g : topo.schedule()) {
-            // Good machine (never forced; ties applied like FaultSimulator's
-            // lane 0: the tied value wins at frames >= its proof cycle).
-            Rails good;
-            if (topo.is_input(g)) {
-                const Lit b = pos(s.new_var());
-                input_lits_[static_cast<std::size_t>(t) * inputs.size() +
-                            input_index[g]] = b;
-                good = {b, ~b};
-            } else if (const Rails* tc = tied_const(g, t); tc != nullptr &&
-                                                           !topo.is_input(g)) {
-                good = *tc;
-            } else if (topo.is_const(g)) {
-                good = topo.op(g) == GateOp::Const1 ? Rails{true_lit_, false_lit}
-                                                    : Rails{false_lit, true_lit_};
-            } else if (topo.is_seq(g)) {
-                good = t == 0 ? x_rails : good_rails(topo.fanins(g)[0], t - 1);
-            } else {
-                ins.clear();
-                for (const GateId fi : topo.fanins(g)) ins.push_back(good_rails(fi, t));
-                good = comb_rails(topo.op(g), ins);
-            }
-            set_good(g, t, good);
+    // A term `a AND b` of the detection clause; a false rail drops it.
+    detect_.clear();
+    auto detect_term = [&](Lit a, Lit b) {
+        if (a == false_lit || b == false_lit) return;
+        const Lit d = pos(s.new_var());
+        s.add_clause({~d, a});
+        s.add_clause({~d, b});
+        detect_.push_back(d);
+    };
 
+    for (std::uint32_t t = 0; t < frames_; ++t) {
+        for (const GateId g : topo.schedule()) {
             // Faulty machine: copies only inside the cone; outside, the two
             // machines agree line for line.
-            if (in_cone_[g] == 0) {
-                set_faulty(g, t, good);
-                continue;
-            }
+            if (in_cone_[g] == 0) continue;
+            Rails& r = faulty(g, t);
             if (g == f.gate && out_fault) {
-                set_faulty(g, t, stuck_rails);
-                continue;
-            }
-            if (topo.is_input(g) || topo.is_const(g)) {
-                set_faulty(g, t, good);
-                continue;
-            }
-            if (topo.is_seq(g)) {
-                if (t == 0) {
-                    set_faulty(g, t, x_rails);
-                } else if (g == f.gate) {  // pin fault on the data input
-                    set_faulty(g, t, stuck_rails);
-                } else {
-                    set_faulty(g, t, faulty_rails(topo.fanins(g)[0], t - 1));
+                r = stuck;
+            } else if (topo.is_input(g) || topo.is_const(g)) {
+                r = good(g, t);
+            } else if (topo.is_seq(g)) {
+                if (t == 0) r = x;
+                else if (g == f.gate) r = stuck;  // pin fault on the data input
+                else r = cone_rails(topo.fanins(g)[0], t - 1);
+            } else {
+                ins_.clear();
+                bool differs = false;
+                const auto fanins = topo.fanins(g);
+                for (std::size_t k = 0; k < fanins.size(); ++k) {
+                    const GateId fi = fanins[k];
+                    const bool pin = g == f.gate && static_cast<std::int32_t>(k) == f.pin;
+                    const Rails in = pin ? stuck : cone_rails(fi, t);
+                    differs |= in != good(fi, t);
+                    ins_.push_back(in);
                 }
-                continue;
+                // Same inputs, same rails — unless a tie overrides the good
+                // gate: inside the cone the faulty machine ignores ties.
+                r = differs || tied(g, t) ? comb_rails(s, topo.op(g), ins_) : good(g, t);
             }
-            ins.clear();
-            const auto fanins = topo.fanins(g);
-            for (std::size_t k = 0; k < fanins.size(); ++k) {
-                if (g == f.gate && static_cast<std::int32_t>(k) == f.pin)
-                    ins.push_back(stuck_rails);
-                else
-                    ins.push_back(faulty_rails(fanins[k], t));
-            }
-            set_faulty(g, t, comb_rails(topo.op(g), ins));
         }
 
         // Detection terms: a cone PO binary in both machines with differing
         // values in some frame.
         for (const GateId o : topo.outputs()) {
             if (in_cone_[o] == 0) continue;
-            const Rails g_r = good_rails(o, t);
-            const Rails f_r = faulty_rails(o, t);
-            const Lit d10 = pos(s.new_var());  // good 1, faulty 0
-            s.add_clause({~d10, g_r.one});
-            s.add_clause({~d10, f_r.zero});
-            detect_terms.push_back(d10);
-            const Lit d01 = pos(s.new_var());  // good 0, faulty 1
-            s.add_clause({~d01, g_r.zero});
-            s.add_clause({~d01, f_r.one});
-            detect_terms.push_back(d01);
+            const Rails g_r = good(o, t);
+            const Rails f_r = faulty(o, t);
+            if (f_r == g_r) continue;
+            detect_term(g_r.one, f_r.zero);  // good 1, faulty 0
+            detect_term(g_r.zero, f_r.one);  // good 0, faulty 1
         }
     }
-    s.add_clause(detect_terms);
+    s.add_clause(detect_);
     return true;
 }
 
-sim::InputSequence FaultMiter::witness(const Solver& solver) const {
+sim::InputSequence FaultMiter::witness() const {
     const std::size_t num_inputs = topo_->inputs().size();
     sim::InputSequence seq(frames_, sim::InputFrame(num_inputs, Val3::X));
     for (std::uint32_t t = 0; t < frames_; ++t) {
         for (std::size_t i = 0; i < num_inputs; ++i) {
             const Lit b = input_lits_[static_cast<std::size_t>(t) * num_inputs + i];
-            const bool v = solver.model_value(b.var()) != b.neg();
+            const bool v = solver_.model_value(b.var()) != b.neg();
             seq[t][i] = v ? Val3::One : Val3::Zero;
         }
     }

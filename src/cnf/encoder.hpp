@@ -17,17 +17,33 @@
 // not tick — the SeqGating analogue); latches always capture under a free
 // enable. Single-domain flip-flop circuits capture exactly.
 //
-// FaultMiter — a dual-rail 3-valued good/faulty product machine for one
-// stuck-at fault. Each (signal, frame) carries two monotone rails (is-one /
-// is-zero; neither = X), encoding Kleene semantics bit-exactly w.r.t.
-// fault::FaultSimulator: all-X initial state, binary primary inputs (an X
-// input never helps under monotone 3-valued logic), good-machine ties as
-// constants at frames >= their cycle, faulty copies only inside the fault's
-// fanout cone, detection = some primary output binary in both machines with
-// differing values. Consequences: every Sat model decodes to a witness
-// sequence FaultSimulator::detects confirms, and Unsat over K frames is a
-// sound proof that no K-frame test exists under the tester model
-// ("untestable within K").
+// FaultMiter — a dual-rail 3-valued good/faulty product machine for the
+// stuck-at faults of one campaign. Each (signal, frame) carries two monotone
+// rails (is-one / is-zero; neither = X), encoding Kleene semantics
+// bit-exactly w.r.t. fault::FaultSimulator: all-X initial state, binary
+// primary inputs (an X input never helps under monotone 3-valued logic),
+// good-machine ties as constants at frames >= their cycle, faulty copies
+// only inside the fault's fanout cone, detection = some primary output
+// binary in both machines with differing values. Consequences: every Sat
+// model decodes to a witness sequence FaultSimulator::detects confirms, and
+// Unsat over K frames is a sound proof that no K-frame test exists under
+// the tester model ("untestable within K").
+//
+// The encoding comes in two steps. The constructor encodes the good machine
+// once per (topology, K, ties) into a base solver: input variables and the
+// good rails of every gate at every frame. encode(f) copy-assigns that base
+// into a reused scratch solver (its arrays keep their capacity, so a
+// campaign barely allocates per fault) and adds only f's cone copy and the
+// detection clause. A verdict is therefore a pure function of (topology,
+// ties, K, fault), whichever faults the miter encoded before.
+//
+// Rails fold constants as they are built: a false input decides an AND
+// rail and a true input an OR rail, true inputs drop out of an AND and
+// false inputs out of an OR, and a single remaining input passes through.
+// X rails, ties and stuck values thus never cost a variable or a clause.
+// A cone gate whose faulty inputs are its good inputs reuses its good
+// rails, unless a tie fixes the good gate: inside the cone the faulty
+// machine ignores ties, as FaultSimulator does.
 
 #include "cnf/solver.hpp"
 #include "core/equivalence.hpp"
@@ -38,6 +54,7 @@
 #include "sim/comb_engine.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace seqlearn::cnf {
@@ -100,49 +117,59 @@ private:
 
 class FaultMiter {
 public:
-    FaultMiter(const netlist::Topology& topo, Solver& solver);
+    /// Encode the good machine over `frames` frames, seeding ties from
+    /// `ties` (null = none; pass the same ties the validating
+    /// FaultSimulator uses). Both referents must outlive the miter.
+    FaultMiter(const netlist::Topology& topo, std::uint32_t frames,
+               const core::TieSet* ties);
 
-    /// Encode the K-frame detection miter for `f`, seeding good-machine
-    /// ties from `ties` (null = none; pass the same ties the validating
-    /// FaultSimulator uses). Returns false when the fault's cone reaches no
-    /// primary output within the window — structurally undetectable, no
-    /// solve needed.
-    bool encode(const fault::Fault& f, std::uint32_t frames, const core::TieSet* ties);
+    /// Replace solver()'s formula with the K-frame detection miter for `f`.
+    /// Returns false when the fault's cone reaches no primary output within
+    /// the window — structurally undetectable, no solve needed.
+    bool encode(const fault::Fault& f);
 
-    /// Decode a Sat model into the (all-binary) witness input sequence.
-    sim::InputSequence witness(const Solver& solver) const;
+    /// The solver holding the last encode()'s formula.
+    Solver& solver() noexcept { return solver_; }
+    std::uint32_t frames() const noexcept { return frames_; }
 
-    // Effective good-machine rails (ties applied) — for the parity tests.
-    Lit good_one(GateId g, std::uint32_t t) const noexcept {
-        return good_one_[static_cast<std::size_t>(t) * topo_->size() + g];
-    }
-    Lit good_zero(GateId g, std::uint32_t t) const noexcept {
-        return good_zero_[static_cast<std::size_t>(t) * topo_->size() + g];
-    }
-    /// The binary input variable of primary input index `i` at frame `t`.
-    Lit input_lit(std::size_t i, std::uint32_t t) const noexcept {
-        return input_lits_[static_cast<std::size_t>(t) * topo_->inputs().size() + i];
-    }
+    /// Decode solver()'s Sat model into the (all-binary) witness sequence.
+    sim::InputSequence witness() const;
 
 private:
     struct Rails {
         Lit one, zero;
+        bool operator==(const Rails&) const = default;
     };
-    Rails good_rails(GateId g, std::uint32_t t) const noexcept {
-        const std::size_t k = static_cast<std::size_t>(t) * topo_->size() + g;
-        return {good_one_[k], good_zero_[k]};
+    Rails& good(GateId g, std::uint32_t t) noexcept {
+        return good_[static_cast<std::size_t>(t) * topo_->size() + g];
     }
-    Rails comb_rails(logic::GateOp op, const std::vector<Rails>& ins);
-    Rails fresh_rails();
+    Rails& faulty(GateId g, std::uint32_t t) noexcept {
+        return faulty_[static_cast<std::size_t>(t) * topo_->size() + g];
+    }
+    /// The faulty machine's rails: the cone copy, or the good rails outside.
+    Rails cone_rails(GateId g, std::uint32_t t) noexcept {
+        return in_cone_[g] != 0 ? faulty(g, t) : good(g, t);
+    }
+    bool tied(GateId g, std::uint32_t t) const noexcept {
+        return ties_ != nullptr && ties_->value(g) != logic::Val3::X && t >= ties_->cycle(g);
+    }
+    Rails comb_rails(Solver& s, logic::GateOp op, std::span<const Rails> ins);
+    Lit fold(Solver& s, bool is_or, std::span<const Lit> lits);
 
     const netlist::Topology* topo_;
-    Solver* solver_;
-    std::vector<Lit> good_one_, good_zero_;    // frame-major good rails
-    std::vector<Lit> faulty_one_, faulty_zero_;  // frame-major; == good outside cone
-    std::vector<Lit> input_lits_;              // frame-major by input index
-    std::vector<std::uint8_t> in_cone_;
-    std::uint32_t frames_ = 0;
+    const core::TieSet* ties_;
+    std::uint32_t frames_;
+    Solver base_;    // the good machine
+    Solver solver_;  // base_ + the current fault's cone
     Lit true_lit_;
+    std::vector<Rails> good_;    // frame-major good rails (ties applied)
+    std::vector<Rails> faulty_;  // frame-major; meaningful inside the cone only
+    std::vector<Lit> input_lits_;  // frame-major by input index
+    std::vector<std::uint8_t> in_cone_;
+    // Scratch reused by every encode (no per-gate allocation).
+    std::vector<GateId> stack_;
+    std::vector<Rails> ins_;
+    std::vector<Lit> ones_, zeros_, kept_, clause_, detect_;
 };
 
 }  // namespace seqlearn::cnf

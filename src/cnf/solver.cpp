@@ -4,18 +4,25 @@
 
 namespace seqlearn::cnf {
 
-namespace {
-
-// Luby restart sequence (1,1,2,1,1,2,4,...) scaled by the base interval.
-std::uint64_t luby(std::uint64_t i) {
-    std::uint64_t k = 1;
-    while ((1ULL << k) - 1 < i + 1) ++k;
-    while ((1ULL << k) - 1 != i + 1) {
-        --k;
-        i -= (1ULL << k) - 1;
+std::uint64_t detail::luby(std::uint64_t i) noexcept {
+    // MiniSat's formulation: find the shortest complete prefix (2^(seq+1) - 1
+    // terms, ending in 2^seq) that holds index i, then descend into the
+    // repeated half i falls in.
+    std::uint64_t size = 1;
+    unsigned seq = 0;
+    while (size < i + 1) {
+        ++seq;
+        size = 2 * size + 1;
     }
-    return 1ULL << (k - 1);
+    while (size - 1 != i) {
+        size = (size - 1) >> 1;
+        --seq;
+        i %= size;
+    }
+    return 1ULL << seq;
 }
+
+namespace {
 
 constexpr std::uint64_t kRestartBase = 100;
 constexpr double kActivityRescale = 1e100;
@@ -290,8 +297,9 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         return res;
     }
 
+    poll_at_ = propagations_;  // the first search step polls
     std::uint64_t restarts = 0;
-    std::uint64_t conflict_limit = kRestartBase * luby(restarts);
+    std::uint64_t conflict_limit = kRestartBase * detail::luby(restarts);
     std::uint64_t conflicts_here = 0;
 
     for (;;) {
@@ -335,7 +343,7 @@ SolveResult Solver::solve(std::span<const Lit> assumptions) {
         }
         if (conflicts_here >= conflict_limit) {
             ++restarts;
-            conflict_limit = kRestartBase * luby(restarts);
+            conflict_limit = kRestartBase * detail::luby(restarts);
             conflicts_here = 0;
             cancel_until(0);
             continue;

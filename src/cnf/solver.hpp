@@ -11,11 +11,13 @@
 // wins)), clause storage is insertion-ordered, and nothing reads a clock
 // except the governance poll.
 //
-// Governance: the solver polls `exec::poll_point(cancel, budget)` every
-// kGovernancePollInterval propagations. A tripped budget (or cancel)
-// surfaces as SolveStatus::Stopped with the matching exec::RunStatus —
-// never a hang, never a throw — and the solver state stays intact: learned
-// clauses are kept and a later solve() picks up where the search left off.
+// Governance: the solver polls `exec::poll_point(cancel, budget)` when a
+// solve starts and then every kGovernancePollInterval propagations, so a
+// budget that is already spent stops even a short solve. A tripped budget
+// (or cancel) surfaces as SolveStatus::Stopped with the matching
+// exec::RunStatus — never a hang, never a throw — and the solver state stays
+// intact: learned clauses are kept and a later solve() picks up where the
+// search left off.
 
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"
@@ -26,6 +28,11 @@
 #include <vector>
 
 namespace seqlearn::cnf {
+
+namespace detail {
+/// Term `i` (0-based) of the Luby restart sequence 1,1,2,1,1,2,4,1,1,2,...
+std::uint64_t luby(std::uint64_t i) noexcept;
+}  // namespace detail
 
 /// Variable index, 0-based. Create with Solver::new_var().
 using Var = std::uint32_t;

@@ -4,14 +4,17 @@
 //
 // What is pinned here:
 //   * The embedded CDCL solver is correct on the classics (unit chains,
-//     pigeonhole UNSAT, incremental assumptions) and bit-deterministic:
+//     pigeonhole UNSAT, incremental assumptions), restarts on the Luby
+//     schedule, and is bit-deterministic:
 //     two fresh solvers on the same clause set replay identical statistics.
 //   * BinaryUnroller models ARE executions: any satisfying model decodes to
 //     an (initial state, input sequence) pair whose reference simulation
 //     reproduces every gate value at every frame.
 //   * FaultMiter verdicts agree with the simulator: Sat witnesses replay
 //     through FaultSimulator::detects, and Untestable verdicts survive an
-//     exhaustive oracle over every binary sequence within the frame bound.
+//     exhaustive oracle over every binary sequence within the frame bound,
+//     with and without learned ties seeded into both.
+//   * A verdict does not depend on which faults one miter proved before it.
 //   * SAT-mined ties/relations never contradict frame-simulation learning —
 //     cross-checked structurally (merged TieSet never flips a value) and
 //     empirically (random binary executions obey every mined fact).
@@ -34,6 +37,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -162,6 +166,15 @@ TEST(CdclSolver, TrippedBudgetStopsWithStateIntact) {
     EXPECT_EQ(s.solve().status, SolveStatus::Unsat);
 }
 
+TEST(Solver, LubySequence) {
+    const std::uint64_t want[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8};
+    for (std::uint64_t i = 0; i < std::size(want); ++i)
+        EXPECT_EQ(detail::luby(i), want[i]) << "term " << i;
+    // Each complete prefix of 2^(k+1) - 1 terms ends in 2^k.
+    for (unsigned k = 0; k < 40; ++k)
+        EXPECT_EQ(detail::luby((2ULL << k) - 2), 1ULL << k) << "k " << k;
+}
+
 // --- encoder parity against the reference simulator -------------------------
 
 TEST(Unroller, ModelsDecodeToMatchingReferenceSimulations) {
@@ -211,41 +224,117 @@ TEST(Unroller, ModelsDecodeToMatchingReferenceSimulations) {
     }
 }
 
+/// Every binary input sequence of 1..`frames` frames over `m` inputs.
+template <typename Fn>
+void for_each_sequence(std::size_t m, std::uint32_t frames, Fn&& fn) {
+    for (std::size_t len = 1; len <= frames; ++len) {
+        for (std::uint64_t bits = 0; bits < (1ULL << (m * len)); ++bits) {
+            sim::InputSequence seq(len, sim::InputFrame(m, Val3::X));
+            for (std::size_t t = 0; t < len; ++t)
+                for (std::size_t i = 0; i < m; ++i)
+                    seq[t][i] = (bits >> (t * m + i)) & 1 ? Val3::One : Val3::Zero;
+            fn(seq);
+        }
+    }
+}
+
+/// Prove every fault of `nl` within `frames` frames and check each verdict
+/// against `fsim` (configured with the same `ties`): every witness replays
+/// (the validation the campaign applies), and no binary sequence within the
+/// bound detects a fault claimed untestable. Returns the number of bounded
+/// CNF proofs checked.
+std::size_t check_against_oracle(const Netlist& nl, const netlist::Topology& topo,
+                                 fault::FaultSimulator& fsim, const core::TieSet* ties,
+                                 std::uint32_t frames) {
+    std::size_t bounded = 0;
+    for (const Fault& f : fault::fault_universe(nl)) {
+        const CnfVerdict v = prove_fault(topo, f, frames, ties, nullptr, nullptr);
+        EXPECT_NE(v.kind, CnfVerdict::Kind::Unknown);  // ungoverned run
+        if (v.kind == CnfVerdict::Kind::Test) {
+            EXPECT_TRUE(fsim.detects(v.test, f)) << to_string(nl, f);
+            continue;
+        }
+        EXPECT_NE(v.proof, fault::UntestableProof::None);
+        bounded += v.proof == fault::UntestableProof::BoundedCnf;
+        for_each_sequence(nl.inputs().size(), frames, [&](const sim::InputSequence& seq) {
+            EXPECT_FALSE(fsim.detects(seq, f))
+                << to_string(nl, f) << " claimed untestable but detected at len "
+                << seq.size();
+        });
+    }
+    return bounded;
+}
+
 TEST(Miter, VerdictsAgreeWithTheExhaustiveOracle) {
-    constexpr std::uint32_t kFrames = 3;
     for (const std::uint64_t seed : {4ULL, 23ULL, 37ULL}) {
+        SCOPED_TRACE(seed);
         const Netlist nl = testing::random_circuit(seed, 2, 2, 8);
         const netlist::Topology topo(nl);
         fault::FaultSimulator fsim(topo);
-        const std::size_t m = nl.inputs().size();
-        for (const Fault& f : fault::fault_universe(nl)) {
-            const CnfVerdict v =
-                prove_fault(topo, f, kFrames, nullptr, nullptr, nullptr);
-            ASSERT_NE(v.kind, CnfVerdict::Kind::Unknown);  // ungoverned run
-            if (v.kind == CnfVerdict::Kind::Test) {
-                // Every witness must replay through the independent
-                // simulator — the same validation the campaign applies.
-                EXPECT_TRUE(fsim.detects(v.test, f))
-                    << "seed " << seed << ": " << to_string(nl, f);
-                continue;
-            }
-            // Untestable within kFrames: no binary sequence of length
-            // <= kFrames may detect the fault. Exhaustive cross-check.
-            EXPECT_NE(v.proof, fault::UntestableProof::None);
-            for (std::size_t len = 1; len <= kFrames; ++len) {
-                for (std::uint64_t bits = 0; bits < (1ULL << (m * len)); ++bits) {
-                    sim::InputSequence seq(len, sim::InputFrame(m, Val3::X));
-                    for (std::size_t t = 0; t < len; ++t)
-                        for (std::size_t i = 0; i < m; ++i)
-                            seq[t][i] =
-                                (bits >> (t * m + i)) & 1 ? Val3::One : Val3::Zero;
-                    ASSERT_FALSE(fsim.detects(seq, f))
-                        << "seed " << seed << ": " << to_string(nl, f)
-                        << " claimed untestable but detected at len " << len;
-                }
-            }
-        }
+        check_against_oracle(nl, topo, fsim, nullptr, 3);
     }
+}
+
+TEST(Miter, TieSeededVerdictsAgreeWithTheExhaustiveOracle) {
+    // The ties live in the miter's shared good machine: learn them on the
+    // same small circuits and hand them to both the prover and the
+    // validating simulator, as the campaign does. The three 3-FF circuits
+    // have ties inside fault cones, where the faulty machine must ignore
+    // them: reusing a tied good rail there yields witnesses that fail to
+    // replay.
+    struct Shape {
+        std::uint64_t seed;
+        std::size_t ffs, gates;
+    };
+    std::size_t ties_seen = 0, bounded = 0;
+    for (const Shape c : {Shape{4, 2, 8}, Shape{23, 2, 8}, Shape{37, 2, 8}, Shape{2, 3, 14},
+                          Shape{39, 3, 14}, Shape{42, 3, 14}}) {
+        SCOPED_TRACE(c.seed);
+        const Netlist nl = testing::random_circuit(c.seed, 2, c.ffs, c.gates);
+        const netlist::Topology topo(nl);
+        const core::LearnResult learned = testing::learn(nl);
+        ASSERT_TRUE(learned.outcome.ok());
+        for (GateId g = 0; g < nl.size(); ++g)
+            ties_seen += learned.ties.value(g) != Val3::X;
+        fault::FaultSimulator fsim(topo);
+        fsim.set_good_ties(&learned.ties.dense(), &learned.ties.dense_cycles());
+        bounded += check_against_oracle(nl, topo, fsim, &learned.ties, 3);
+    }
+    EXPECT_GT(ties_seen, 0u);  // the variant must actually seed ties
+    EXPECT_GT(bounded, 0u);    // and prove some faults untestable with them
+}
+
+TEST(Miter, VerdictsDoNotDependOnProofOrder) {
+    // One miter serves a whole campaign: each proof copies the good machine
+    // and adds one fault's cone, so no earlier fault may leak into a later
+    // verdict. Prove the universe forwards and backwards on one miter, and
+    // each fault once more on a miter of its own, and compare everything,
+    // search effort included.
+    const Netlist nl = testing::random_circuit(31, 3, 5, 16);
+    const netlist::Topology topo(nl);
+    const core::LearnResult learned = testing::learn(nl);
+    const std::vector<Fault> faults = fault::fault_universe(nl);
+    FaultMiter miter(topo, 4, &learned.ties);
+
+    std::vector<CnfVerdict> forward, backward(faults.size());
+    for (const Fault& f : faults) forward.push_back(prove_fault(miter, f, nullptr, nullptr));
+    for (std::size_t i = faults.size(); i-- > 0;)
+        backward[i] = prove_fault(miter, faults[i], nullptr, nullptr);
+
+    std::size_t witnesses = 0;
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+        SCOPED_TRACE(to_string(nl, faults[i]));
+        const CnfVerdict alone = prove_fault(topo, faults[i], 4, &learned.ties, nullptr, nullptr);
+        const CnfVerdict* const others[] = {&backward[i], &alone};
+        for (const CnfVerdict* other : others) {
+            EXPECT_EQ(forward[i].kind, other->kind);
+            EXPECT_EQ(forward[i].proof, other->proof);
+            EXPECT_EQ(forward[i].test, other->test);
+            EXPECT_EQ(forward[i].conflicts, other->conflicts);
+        }
+        witnesses += forward[i].kind == CnfVerdict::Kind::Test;
+    }
+    EXPECT_GT(witnesses, 0u);
 }
 
 // --- SAT learn mode ----------------------------------------------------------
