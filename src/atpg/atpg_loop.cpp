@@ -243,12 +243,13 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
     // the ties, and the fault — identical across runs and thread counts).
     std::vector<std::size_t> targets;
     std::vector<std::size_t> sat_queue;
+    netlist::ForwardCone cone;
     for (const std::size_t i : list.undetected()) {
         bool to_sat = false;
         if (cfg.backend == cnf::Backend::Sat) {
             to_sat = true;
         } else if (cfg.backend == cnf::Backend::Auto) {
-            to_sat = cnf::route_to_sat(topo, list.fault(i), sat_k, ties,
+            to_sat = cnf::route_to_sat(topo, list.fault(i), sat_k, ties, cone,
                                        cfg.guidance == guide::Guidance::Scoap ? tst
                                                                               : nullptr);
         }
@@ -354,10 +355,7 @@ void run_campaign(Engine& engine, fault::FaultSimulator& fsim, fault::FaultList&
     };
     exec::WorkerSet<WorkerCtx> ctxs(workers - 1, [&](unsigned) {
         WorkerCtx ctx{Engine(topo), fault::FaultSimulator(topo)};
-        if (cfg.learned != nullptr) {
-            ctx.fsim.set_good_ties(&cfg.learned->ties.dense(),
-                                   &cfg.learned->ties.dense_cycles());
-        }
+        ctx.fsim.share_good_ties(fsim);
         return ctx;
     });
 

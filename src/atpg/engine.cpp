@@ -16,8 +16,8 @@ constexpr int kFaulty = 1;
 
 }  // namespace
 
-// All per-solve state lives here; the Engine object only caches the shared
-// CSR topology across solves.
+// All per-solve state lives here; the Engine object only keeps the shared
+// CSR topology and the reused fault-cone buffer across solves.
 struct Engine::Search {
     const Topology& topo;
     Ila ila;
@@ -26,7 +26,7 @@ struct Engine::Search {
 
     // The faulted line's driver (== fault.gate for output faults).
     GateId fault_line;
-    std::vector<bool> cone;  // gate -> may differ between planes
+    const netlist::ForwardCone& cone;  // gates that may differ between planes
 
     // Per plane, per cell values. Values only move X -> binary on a branch.
     std::vector<Val3> plane[2];
@@ -59,10 +59,9 @@ struct Engine::Search {
     bool site_seq_data_pinned = false;
 
     Search(const Topology& topology, const fault::Fault& f, std::uint32_t frames,
-           const EngineConfig& config)
-        : topo(topology), ila(topology, frames), fault(f), cfg(config) {
+           const EngineConfig& config, const netlist::ForwardCone& fault_cone)
+        : topo(topology), ila(topology, frames), fault(f), cfg(config), cone(fault_cone) {
         fault_line = f.pin == fault::kOutputPin ? f.gate : topo.fanins(f.gate)[f.pin];
-        cone = fault_cone_mask(topo, f);
         site_output_pinned = f.pin == fault::kOutputPin;
         site_seq_data_pinned = f.pin == 0 && topo.is_seq(f.gate);
         const std::size_t cells = ila.num_cells();
@@ -137,7 +136,7 @@ struct Engine::Search {
         // the cone — except a fault-pinned site output, which stays pinned.
         const bool share_ppi =
             is_ppi && cfg.ppi_free && !(g == fault.gate && site_output_pinned);
-        if (!cone[g] || share_ppi) {
+        if (!cone.contains(g) || share_ppi) {
             const int q = 1 - p;
             if (plane[q][c] == Val3::X) {
                 plane[q][c] = v;
@@ -426,7 +425,7 @@ struct Engine::Search {
                         work.push_back({c, kGood});
                     }
                     // Outside the cone the faulty machine shares the tie.
-                    if (!cone[g] && plane[kFaulty][c] == Val3::X) {
+                    if (!cone.contains(g) && plane[kFaulty][c] == Val3::X) {
                         plane[kFaulty][c] = v;
                         exempt[kFaulty][c] = true;
                         work.push_back({c, kFaulty});
@@ -485,7 +484,7 @@ struct Engine::Search {
         out.clear();
         for (std::uint32_t k = 0; k < ila.frames; ++k) {
             for (GateId g = 0; g < topo.size(); ++g) {
-                if (!cone[g]) continue;
+                if (!cone.contains(g)) continue;
                 if (!topo.is_comb(g)) {
                     // A sequential element forwards effects by itself.
                     continue;
@@ -567,7 +566,7 @@ struct Engine::Search {
                         if (!set_plane(ic, kGood, side)) return false;
                         assigned_any = true;
                     }
-                    if (fv == Val3::X && cone[topo.fanins(g)[i]]) {
+                    if (fv == Val3::X && cone.contains(topo.fanins(g)[i])) {
                         if (!set_plane(ic, kFaulty, side)) return false;
                         assigned_any = true;
                     }
@@ -842,7 +841,8 @@ Engine::Engine(const netlist::Topology& topo) : topo_(&topo) {}
 
 EngineResult Engine::solve(const fault::Fault& f, std::uint32_t frames,
                            const EngineConfig& cfg) {
-    Search search(*topo_, f, frames, cfg);
+    cone_.walk(*topo_, f.gate);
+    Search search(*topo_, f, frames, cfg, cone_);
     EngineResult result = search.run();
     // Count decisions also when a test was found.
     result.decisions = search.decisions;

@@ -23,6 +23,7 @@
 #include "core/tie.hpp"
 #include "fault/fault.hpp"
 #include "guide/testability.hpp"
+#include "netlist/structure.hpp"
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 
@@ -91,9 +92,10 @@ struct EngineResult {
 };
 
 /// One engine instance per circuit; solve() may be called repeatedly and
-/// carries no state between calls — a given (fault, window, config) solves
-/// identically on any instance over the same Topology, which is what lets
-/// the parallel ATPG campaign fan targets out over per-worker clones.
+/// carries no state between calls beyond reused scratch — a given (fault,
+/// window, config) solves identically on any instance over the same
+/// Topology, which is what lets the parallel ATPG campaign fan targets out
+/// over per-worker clones.
 /// All structural walks (frontier expansion, cone tracing, implication
 /// hooks) read the flat CSR Topology.
 class Engine {
@@ -112,6 +114,7 @@ public:
 private:
     struct Search;  // defined in engine.cpp
     const netlist::Topology* topo_;
+    netlist::ForwardCone cone_;  // the current solve's fault cone
 };
 
 }  // namespace seqlearn::atpg

@@ -1,5 +1,5 @@
 #pragma once
-// Iterative-logic-array addressing and fault-cone precomputation.
+// Iterative-logic-array addressing.
 //
 // The sequential ATPG engine works on a W-frame unrolling of the circuit.
 // Nothing is materialized: a cell is (frame, gate) packed into one index,
@@ -8,11 +8,9 @@
 // Frame-0 sequential outputs are the unknown initial state and may never
 // take a binary value.
 
-#include "fault/fault.hpp"
 #include "netlist/topology.hpp"
 
 #include <cstdint>
-#include <vector>
 
 namespace seqlearn::atpg {
 
@@ -38,11 +36,5 @@ struct Ila {
     }
     GateId gate_of(Cell c) const noexcept { return static_cast<GateId>(c % num_gates); }
 };
-
-/// Gates whose value can differ between the good and faulty machines: the
-/// forward cone of the fault site, traversed *through* sequential elements
-/// (a latched fault effect persists across frames). Gates outside this set
-/// always have equal planes, which the engine exploits by mirroring writes.
-std::vector<bool> fault_cone_mask(const netlist::Topology& topo, const fault::Fault& f);
 
 }  // namespace seqlearn::atpg

@@ -84,9 +84,10 @@ CnfVerdict prove_fault(const netlist::Topology& topo, const fault::Fault& f,
 /// frame-sim engine aborts, so they buy a larger CNF cap, and kInf-hard
 /// faults (untestable-looking) route to SAT whenever the bounded proof is
 /// tractable. Null keeps the historical structural-features-only policy —
-/// still a pure deterministic function either way.
+/// still a pure deterministic function either way. `scratch` is the
+/// caller's reusable cone buffer.
 bool route_to_sat(const netlist::Topology& topo, const fault::Fault& f,
-                  std::uint32_t frames, const core::TieSet* ties,
+                  std::uint32_t frames, const core::TieSet* ties, netlist::ForwardCone& scratch,
                   const guide::Testability* tst = nullptr);
 
 }  // namespace seqlearn::cnf

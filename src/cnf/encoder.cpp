@@ -200,7 +200,6 @@ FaultMiter::FaultMiter(const netlist::Topology& topo, std::uint32_t frames,
     good_.assign(static_cast<std::size_t>(frames) * n, x);
     faulty_.assign(static_cast<std::size_t>(frames) * n, x);
     input_lits_.resize(static_cast<std::size_t>(frames) * inputs.size());
-    in_cone_.assign(n, 0);
 
     for (std::uint32_t t = 0; t < frames; ++t) {
         for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -284,23 +283,10 @@ FaultMiter::Rails FaultMiter::comb_rails(Solver& s, GateOp op, std::span<const R
 bool FaultMiter::encode(const fault::Fault& f) {
     const netlist::Topology& topo = *topo_;
 
-    // Fault cone: forward reachability from the fault site through both
-    // combinational and sequential sinks (same closure FaultSimulator marks).
-    in_cone_.assign(topo.size(), 0);
-    stack_.assign(1, f.gate);
-    in_cone_[f.gate] = 1;
-    while (!stack_.empty()) {
-        const GateId g = stack_.back();
-        stack_.pop_back();
-        for (const GateId h : topo.fanouts(g)) {
-            if (in_cone_[h] == 0) {
-                in_cone_[h] = 1;
-                stack_.push_back(h);
-            }
-        }
-    }
+    // The faulty machine differs from the good one only inside the cone.
+    cone_.walk(topo, f.gate);
     bool observable = false;
-    for (const GateId o : topo.outputs()) observable |= in_cone_[o] != 0;
+    for (const GateId o : topo.outputs()) observable |= cone_.contains(o);
     if (!observable) return false;
 
     solver_ = base_;
@@ -325,7 +311,7 @@ bool FaultMiter::encode(const fault::Fault& f) {
         for (const GateId g : topo.schedule()) {
             // Faulty machine: copies only inside the cone; outside, the two
             // machines agree line for line.
-            if (in_cone_[g] == 0) continue;
+            if (!cone_.contains(g)) continue;
             Rails& r = faulty(g, t);
             if (g == f.gate && out_fault) {
                 r = stuck;
@@ -355,7 +341,7 @@ bool FaultMiter::encode(const fault::Fault& f) {
         // Detection terms: a cone PO binary in both machines with differing
         // values in some frame.
         for (const GateId o : topo.outputs()) {
-            if (in_cone_[o] == 0) continue;
+            if (!cone_.contains(o)) continue;
             const Rails g_r = good(o, t);
             const Rails f_r = faulty(o, t);
             if (f_r == g_r) continue;

@@ -50,6 +50,7 @@
 #include "core/impl_db.hpp"
 #include "core/tie.hpp"
 #include "fault/fault.hpp"
+#include "netlist/structure.hpp"
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 
@@ -148,7 +149,7 @@ private:
     }
     /// The faulty machine's rails: the cone copy, or the good rails outside.
     Rails cone_rails(GateId g, std::uint32_t t) noexcept {
-        return in_cone_[g] != 0 ? faulty(g, t) : good(g, t);
+        return cone_.contains(g) ? faulty(g, t) : good(g, t);
     }
     bool tied(GateId g, std::uint32_t t) const noexcept {
         return ties_ != nullptr && ties_->value(g) != logic::Val3::X && t >= ties_->cycle(g);
@@ -165,9 +166,8 @@ private:
     std::vector<Rails> good_;    // frame-major good rails (ties applied)
     std::vector<Rails> faulty_;  // frame-major; meaningful inside the cone only
     std::vector<Lit> input_lits_;  // frame-major by input index
-    std::vector<std::uint8_t> in_cone_;
     // Scratch reused by every encode (no per-gate allocation).
-    std::vector<GateId> stack_;
+    netlist::ForwardCone cone_;  // the current fault's cone
     std::vector<Rails> ins_;
     std::vector<Lit> ones_, zeros_, kept_, clause_, detect_;
 };

@@ -38,8 +38,7 @@ Var Solver::new_var() {
     reason_.push_back(kRefUndef);
     activity_.push_back(0.0);
     heap_pos_.push_back(0xFFFFFFFFu);
-    watches_.emplace_back();
-    watches_.emplace_back();
+    watches_.add_var();
     heap_insert(v);
     return v;
 }

@@ -129,6 +129,36 @@ private:
         Lit blocker;
     };
 
+    // One watch list per literal (indexed by Lit.x). Copy-assignment reuses
+    // the destination's lists, and lists beyond the source's literals stay
+    // allocated but empty, so restoring a scratch solver from a base formula
+    // (cnf::FaultMiter, once per fault) allocates nothing in steady state.
+    class WatchLists {
+    public:
+        WatchLists() = default;
+        WatchLists(const WatchLists& o) : lists_(o.lists_.begin(), o.lists_.begin() + o.size_),
+                                          size_(o.size_) {}
+        WatchLists(WatchLists&&) noexcept = default;
+        WatchLists& operator=(WatchLists&&) noexcept = default;
+        WatchLists& operator=(const WatchLists& o) {
+            if (lists_.size() < o.size_) lists_.resize(o.size_);
+            for (std::size_t i = 0; i < o.size_; ++i) lists_[i] = o.lists_[i];
+            for (std::size_t i = o.size_; i < size_; ++i) lists_[i].clear();
+            size_ = o.size_;
+            return *this;
+        }
+        /// Append the (empty) lists of one variable's two literals.
+        void add_var() {
+            size_ += 2;
+            if (lists_.size() < size_) lists_.resize(size_);
+        }
+        std::vector<Watch>& operator[](std::size_t x) noexcept { return lists_[x]; }
+
+    private:
+        std::vector<std::vector<Watch>> lists_;
+        std::size_t size_ = 0;  // lists in use; the rest are empty spares
+    };
+
     std::uint8_t value(Lit l) const noexcept {
         const std::uint8_t a = assign_[l.var()];
         return a == kUndef ? kUndef : static_cast<std::uint8_t>(a ^ (l.neg() ? 1u : 0u));
@@ -160,7 +190,7 @@ private:
     // Clause arena: [size][lit...]; cref = offset of the size word.
     std::vector<std::uint32_t> arena_;
     std::size_t num_clauses_ = 0;
-    std::vector<std::vector<Watch>> watches_;  // indexed by Lit.x
+    WatchLists watches_;
 
     std::vector<std::uint8_t> assign_;   // per var: kTrue/kFalse/kUndef
     std::vector<std::uint8_t> model_;    // last Sat model, per var

@@ -109,33 +109,43 @@ struct ConeCache {
     }
 };
 
-// Evaluate the union cone of the jobs sharing `pats` and check each job's
-// lane range. `pats`/`touched` are reusable worker scratch (all-X between
-// batches). Jobs must already have their support patterns staged.
-void eval_cone_and_touch(const Netlist& nl, std::span<const GateId> cone,
-                         std::vector<Pattern>& pats, std::vector<GateId>& touched,
-                         std::vector<Pattern>& ins) {
+// Evaluate `cone` (topological order) over `pats`, whose sources the
+// caller has staged. Every gate the batch writes lies in `cone`, so
+// clearing the cone afterwards restores the all-X scratch.
+void eval_cone(const Netlist& nl, std::span<const GateId> cone, std::vector<Pattern>& pats) {
     for (const GateId g : cone) {
         const GateType t = nl.type(g);
         if (t == GateType::Input || netlist::is_sequential(t)) continue;
-        ins.clear();
-        for (const GateId f : nl.fanins(g)) ins.push_back(pats[f]);
-        pats[g] = logic::eval_op(netlist::to_op(t), ins.data(), static_cast<int>(ins.size()));
-        touched.push_back(g);
+        const auto fanins = nl.fanins(g);
+        pats[g] = logic::eval_op_indirect(netlist::to_op(t), fanins.size(),
+                                          [&](std::size_t i) { return pats[fanins[i]]; });
     }
 }
 
+void clear_cone(std::span<const GateId> cone, std::vector<Pattern>& pats) {
+    for (const GateId g : cone) pats[g] = logic::kPatAllX;
+}
+
+// Lane i of kLaneBit[b] holds bit b of i: the low six bits of the
+// assignment a lane carries when a chunk starts at a multiple of 64.
+constexpr std::array<std::uint64_t, 6> kLaneBit = {
+    0xAAAAAAAAAAAAAAAAULL, 0xCCCCCCCCCCCCCCCCULL, 0xF0F0F0F0F0F0F0F0ULL,
+    0xFF00FF00FF00FF00ULL, 0xFFFF0000FFFF0000ULL, 0xFFFFFFFF00000000ULL};
+
 // Stage one job's support assignments into lanes [base, base + count) for
-// the chunk of assignments starting at `first`.
-void stage_support(const ProofJob& job, std::vector<Pattern>& pats,
-                   std::vector<GateId>& touched, int base, std::uint64_t first, int count) {
+// the chunk of assignments starting at `first` (a multiple of 64, so lane
+// base + i carries assignment first + i): support bit b is one masked word
+// per plane — the lane-index pattern kLaneBit[b] shifted to `base` for
+// b < 6, bit b of `first` broadcast over the range above that.
+void stage_support(const ProofJob& job, std::vector<Pattern>& pats, int base,
+                   std::uint64_t first, int count) {
+    const std::uint64_t range = (count == 64 ? ~0ULL : (1ULL << count) - 1) << base;
     for (std::size_t b = 0; b < job.support.size(); ++b) {
+        const std::uint64_t ones =
+            b < kLaneBit.size() ? kLaneBit[b] << base : ((first >> b) & 1 ? ~0ULL : 0);
         Pattern& p = pats[job.support[b]];
-        for (int lane = 0; lane < count; ++lane) {
-            const std::uint64_t assignment = first + static_cast<std::uint64_t>(lane);
-            logic::pat_set(p, base + lane, (assignment >> b) & 1 ? Val3::One : Val3::Zero);
-        }
-        touched.push_back(job.support[b]);
+        p.ones = (p.ones & ~range) | (ones & range);
+        p.zeros = (p.zeros & ~range) | (~ones & range);
     }
 }
 
@@ -150,33 +160,26 @@ bool job_verdict_lanes(const ProofJob& job, const std::vector<Pattern>& pats, in
     return ((logic::pat_known(a) & logic::pat_known(b)) & lane_mask) == lane_mask;
 }
 
-// Reusable per-worker evaluation scratch. `pats` is all-X outside a batch;
-// the touch list undoes exactly the gates a batch wrote.
+// Reusable per-worker evaluation scratch. `pats` is all-X outside a batch.
 struct ProofScratch {
     std::vector<Pattern> pats;
-    std::vector<GateId> touched;
-    std::vector<Pattern> ins;
     std::vector<GateId> cone;  // union cone of a packed batch
-
-    void reset() {
-        for (const GateId g : touched) pats[g] = logic::kPatAllX;
-        touched.clear();
-    }
 };
 
 // Prove a single oversized-assignment-space job (support 7..cap) by
-// iterating 64-lane chunks, as the pre-batched implementation did.
+// iterating 64-lane chunks. Each chunk rewrites the whole support and cone,
+// so the scratch is cleared once, after the last chunk.
 bool prove_solo(const Netlist& nl, const ProofJob& job, ProofScratch& s) {
     const std::size_t k = job.support.size();
     const std::uint64_t total = 1ULL << k;
     bool ok = true;
     for (std::uint64_t first = 0; ok && first < total; first += 64) {
         const int count = static_cast<int>(std::min<std::uint64_t>(64, total - first));
-        stage_support(job, s.pats, s.touched, 0, first, count);
-        eval_cone_and_touch(nl, job.cone, s.pats, s.touched, s.ins);
+        stage_support(job, s.pats, 0, first, count);
+        eval_cone(nl, job.cone, s.pats);
         ok = job_verdict_lanes(job, s.pats, 0, count);
-        s.reset();
     }
+    clear_cone(job.cone, s.pats);
     return ok;
 }
 
@@ -189,8 +192,7 @@ void prove_packed(const Netlist& nl, std::span<const ProofJob* const> jobs,
                   ProofScratch& s) {
     int base = 0;
     for (const ProofJob* job : jobs) {
-        stage_support(*job, s.pats, s.touched, base, 0,
-                      1 << static_cast<int>(job->support.size()));
+        stage_support(*job, s.pats, base, 0, 1 << static_cast<int>(job->support.size()));
         base += 1 << static_cast<int>(job->support.size());
     }
     s.cone.clear();
@@ -199,14 +201,14 @@ void prove_packed(const Netlist& nl, std::span<const ProofJob* const> jobs,
     std::sort(s.cone.begin(), s.cone.end(),
               [&](GateId a, GateId b) { return pos[a] < pos[b]; });
     s.cone.erase(std::unique(s.cone.begin(), s.cone.end()), s.cone.end());
-    eval_cone_and_touch(nl, s.cone, s.pats, s.touched, s.ins);
+    eval_cone(nl, s.cone, s.pats);
     base = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
         const int count = 1 << static_cast<int>(jobs[j]->support.size());
         verdicts[j] = job_verdict_lanes(*jobs[j], s.pats, base, count) ? 1 : 0;
         base += count;
     }
-    s.reset();
+    clear_cone(s.cone, s.pats);
 }
 
 }  // namespace

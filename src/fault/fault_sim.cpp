@@ -75,6 +75,91 @@ FaultSimulator::FaultSimulator(const Topology& topo)
     }
 }
 
+FaultSimulator::TieConeIndex::TieConeIndex(const Topology& topo,
+                                           std::vector<GateId> tied_gates)
+    : tied(std::move(tied_gates)) {
+    const std::size_t n = topo.size();
+    // Iterative Tarjan over the fanout graph. A component gets its number
+    // when it completes, after every component it reaches: numbering is a
+    // reverse topological order of the condensation.
+    constexpr std::uint32_t kUnvisited = ~0U;
+    std::vector<std::uint32_t> order(n, kUnvisited), low(n, 0);
+    comp.assign(n, kUnvisited);
+    std::vector<GateId> open;  // visited gates without a component yet
+    // Gates by component: component c's gates are members[end[c - 1], end[c]).
+    std::vector<GateId> members;
+    std::vector<std::uint32_t> end;
+    members.reserve(n);
+    struct Frame {
+        GateId g;
+        std::uint32_t next;  // next fanout to explore
+    };
+    std::vector<Frame> calls;
+    std::uint32_t visited = 0, num_comps = 0;
+    auto enter = [&](GateId g) {
+        order[g] = low[g] = visited++;
+        open.push_back(g);
+        calls.push_back({g, 0});
+    };
+    for (GateId root = 0; root < n; ++root) {
+        if (order[root] != kUnvisited) continue;
+        enter(root);
+        while (!calls.empty()) {
+            const GateId g = calls.back().g;
+            const auto outs = topo.fanouts(g);
+            if (calls.back().next < outs.size()) {
+                const GateId h = outs[calls.back().next++];
+                if (order[h] == kUnvisited) enter(h);
+                else if (comp[h] == kUnvisited) low[g] = std::min(low[g], order[h]);
+                continue;
+            }
+            calls.pop_back();
+            if (!calls.empty()) low[calls.back().g] = std::min(low[calls.back().g], low[g]);
+            if (low[g] != order[g]) continue;
+            GateId m;
+            do {
+                m = open.back();
+                open.pop_back();
+                comp[m] = num_comps;
+                members.push_back(m);
+            } while (m != g);
+            end.push_back(static_cast<std::uint32_t>(members.size()));
+            ++num_comps;
+        }
+    }
+
+    // Groups: the components holding ties, numbered by first tie.
+    std::vector<std::uint32_t> group_of(num_comps, kUnvisited);
+    group.reserve(tied.size());
+    for (const GateId g : tied) {
+        std::uint32_t& id = group_of[comp[g]];
+        if (id == kUnvisited) id = static_cast<std::uint32_t>(num_groups++);
+        group.push_back(id);
+    }
+
+    // Rows, sinks first: a component's own group plus its successors' rows
+    // (lower-numbered, so already final).
+    words = (num_groups + 63) / 64;
+    rows.assign(num_comps * words, 0);
+    for (std::uint32_t c = 0; c < num_comps; ++c) {
+        std::uint64_t* row = rows.data() + c * words;
+        if (group_of[c] != kUnvisited) row[group_of[c] / 64] |= 1ULL << (group_of[c] % 64);
+        for (std::uint32_t k = c == 0 ? 0 : end[c - 1]; k < end[c]; ++k) {
+            for (const GateId h : topo.fanouts(members[k])) {
+                if (comp[h] == c) continue;
+                const std::uint64_t* succ = rows.data() + comp[h] * words;
+                for (std::size_t w = 0; w < words; ++w) row[w] |= succ[w];
+            }
+        }
+    }
+}
+
+std::size_t FaultSimulator::TieConeIndex::memory_bytes() const noexcept {
+    return sizeof(TieConeIndex) + tied.capacity() * sizeof(GateId) +
+           comp.capacity() * sizeof(std::uint32_t) + group.capacity() * sizeof(std::uint32_t) +
+           rows.capacity() * sizeof(std::uint64_t);
+}
+
 void FaultSimulator::set_good_ties(const std::vector<Val3>* values,
                                    const std::vector<std::uint32_t>* cycles) {
     for (const Tie& t : ties_) {
@@ -87,11 +172,6 @@ void FaultSimulator::set_good_ties(const std::vector<Val3>* values,
     if (values != nullptr) {
         const std::size_t n = topo_->size();
         if (tie_index_.size() != n) tie_index_.assign(n, -1);
-        if (outside_cone_.size() != n) {
-            LaneMask all;
-            all.fill(kAllOnes);
-            outside_cone_.assign(n, all);
-        }
         for (GateId g = 0; g < n; ++g) {
             const Val3 v = (*values)[g];
             if (v == Val3::X) continue;
@@ -101,10 +181,38 @@ void FaultSimulator::set_good_ties(const std::vector<Val3>* values,
         }
     }
     tie_lanes_.resize(ties_.size());
-    // Worker clones must simulate the same good machine.
-    for (const std::unique_ptr<FaultSimulator>& w : workers_) {
-        w->set_good_ties(values, cycles);
+    if (!ties_.empty()) {
+        const bool current =
+            cone_index_ != nullptr &&
+            std::equal(ties_.begin(), ties_.end(), cone_index_->tied.begin(),
+                       cone_index_->tied.end(),
+                       [](const Tie& t, GateId g) { return t.gate == g; });
+        if (!current) {
+            std::vector<GateId> tied;
+            tied.reserve(ties_.size());
+            for (const Tie& t : ties_) tied.push_back(t.gate);
+            cone_index_ = std::make_shared<const TieConeIndex>(*topo_, std::move(tied));
+        }
+        group_lanes_.resize(cone_index_->num_groups);
     }
+    // Worker clones must simulate the same good machine.
+    for (const std::unique_ptr<FaultSimulator>& w : workers_) w->share_good_ties(*this);
+}
+
+void FaultSimulator::share_good_ties(const FaultSimulator& from) {
+    cone_index_ = from.cone_index_;
+    set_good_ties(from.tie_values_, from.tie_cycles_);
+}
+
+std::vector<GateId> FaultSimulator::ties_in_cone(GateId g) const {
+    std::vector<GateId> out;
+    if (ties_.empty()) return out;
+    const auto row = cone_index_->row(g);
+    for (std::size_t t = 0; t < ties_.size(); ++t) {
+        const std::uint32_t k = cone_index_->group[t];
+        if ((row[k / 64] >> (k % 64)) & 1) out.push_back(ties_[t].gate);
+    }
+    return out;
 }
 
 void FaultSimulator::set_executor(exec::Pool* pool, unsigned max_workers) {
@@ -121,32 +229,6 @@ void FaultSimulator::clear_forces() {
     forced_gates_.clear();
     for (const std::uint32_t e : forced_edges_) pin_force_[e] = Lanes{};
     forced_edges_.clear();
-}
-
-void FaultSimulator::mark_cone(GateId root, std::size_t lane) {
-    // Forward reachability through both combinational and sequential sinks
-    // (a latched fault effect persists across frames). The lane bit doubles
-    // as the visited marker, so reconvergent regions are expanded once.
-    const std::size_t word = lane / 64;
-    const std::uint64_t bit = 1ULL << (lane % 64);
-    auto clear_bit = [&](GateId g) -> bool {
-        LaneMask& m = outside_cone_[g];
-        if ((m[word] & bit) == 0) return false;
-        if (std::all_of(m.begin(), m.end(), [](std::uint64_t x) { return x == kAllOnes; }))
-            cone_touched_.push_back(g);
-        m[word] &= ~bit;
-        return true;
-    };
-    clear_bit(root);
-    cone_stack_.clear();
-    cone_stack_.push_back(root);
-    while (!cone_stack_.empty()) {
-        const GateId g = cone_stack_.back();
-        cone_stack_.pop_back();
-        for (const GateId h : topo_->fanouts(g)) {
-            if (clear_bit(h)) cone_stack_.push_back(h);
-        }
-    }
 }
 
 template <bool kPinForces>
@@ -251,15 +333,29 @@ FaultSimulator::LaneMask FaultSimulator::pass(const sim::InputSequence& seq,
 
     // Tie lanes: lane 0 always; faulty lanes only where the tied gate is
     // outside that fault's cone (there the machines agree line-for-line).
+    // Faults on one component share a row, so consecutive ones are merged.
     if (!ties_.empty()) {
-        for (const GateId g : cone_touched_) outside_cone_[g].fill(kAllOnes);
-        cone_touched_.clear();
-        for (std::size_t j = 0; j < faults.size(); ++j) mark_cone(faults[j].gate, j + 1);
+        const TieConeIndex& index = *cone_index_;
+        std::fill(group_lanes_.begin(), group_lanes_.end(), LaneMask{});
+        for (std::size_t j = 0; j < faults.size();) {
+            const GateId site = faults[j].gate;
+            LaneMask lanes{};
+            for (; j < faults.size() && index.comp[faults[j].gate] == index.comp[site]; ++j)
+                lanes[(j + 1) / 64] |= 1ULL << ((j + 1) % 64);
+            const auto row = index.row(site);
+            for (std::size_t w = 0; w < row.size(); ++w) {
+                for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+                    LaneMask& in_cone =
+                        group_lanes_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+                    for (std::size_t k = 0; k < kWords; ++k) in_cone[k] |= lanes[k];
+                }
+            }
+        }
         for (std::size_t t = 0; t < ties_.size(); ++t) {
-            const LaneMask& outside = outside_cone_[ties_[t].gate];
+            const LaneMask& in_cone = group_lanes_[index.group[t]];
             Lanes& tl = tie_lanes_[t];
             for (std::size_t w = 0; w < kWords; ++w) {
-                const std::uint64_t lanes = (outside[w] | (w == 0 ? 1ULL : 0)) & used[w];
+                const std::uint64_t lanes = (~in_cone[w] | (w == 0 ? 1ULL : 0)) & used[w];
                 tl.ones[w] = ties_[t].value == Val3::One ? lanes : 0;
                 tl.zeros[w] = ties_[t].value == Val3::Zero ? lanes : 0;
             }
@@ -387,7 +483,7 @@ std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq
     // simulator); built once and reused across calls.
     while (workers_.size() + 1 < workers) {
         auto clone = std::make_unique<FaultSimulator>(*topo_);
-        clone->set_good_ties(tie_values_, tie_cycles_);
+        clone->share_good_ties(*this);
         workers_.push_back(std::move(clone));
     }
 
@@ -430,18 +526,21 @@ std::size_t FaultSimulator::drop_detected_parallel(const sim::InputSequence& seq
     return dropped;
 }
 
-std::size_t FaultSimulator::memory_bytes() const noexcept {
+std::size_t FaultSimulator::scratch_bytes() const noexcept {
     const auto vec = [](const auto& v) { return v.capacity() * sizeof(v[0]); };
     std::size_t bytes = vec(eval_order_) + vec(force_flags_) + vec(out_force_) +
                         vec(pin_force_) + vec(forced_gates_) + vec(forced_edges_) +
-                        vec(ties_) + vec(tie_lanes_) + vec(tie_index_) +
-                        vec(pats_) + vec(state_) + vec(outside_cone_) + vec(cone_touched_) +
-                        vec(cone_stack_) + vec(chunk_indices_) + vec(chunk_) +
+                        vec(ties_) + vec(tie_lanes_) + vec(tie_index_) + vec(group_lanes_) +
+                        vec(pats_) + vec(state_) + vec(chunk_indices_) + vec(chunk_) +
                         detected_words_ * sizeof(std::uint64_t);
     for (const auto& w : workers_) {
-        if (w) bytes += sizeof(FaultSimulator) + w->memory_bytes();
+        if (w) bytes += sizeof(FaultSimulator) + w->scratch_bytes();
     }
     return bytes;
+}
+
+std::size_t FaultSimulator::memory_bytes() const noexcept {
+    return scratch_bytes() + (cone_index_ ? cone_index_->memory_bytes() : 0);
 }
 
 }  // namespace seqlearn::fault

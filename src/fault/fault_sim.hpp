@@ -9,14 +9,17 @@
 // conservative definition a tester can rely on).
 //
 // Hot-path design: all structural access goes through the flat CSR
-// netlist::Topology (contiguous fanin spans in the evaluation loop, fanout
-// spans for fault-cone marking). Each gate is evaluated by a direct switch
-// over its operator, four words per plane. Fault forcing lives in flat
-// per-gate and per-fanin-edge four-word mask arrays that persist on the
-// simulator and are cleared entry-by-entry between passes; one flag byte
-// per gate keeps unforced, untied gates on the plain path. Detection ORs the
-// per-output diff words into a lane mask and walks its set bits once per
-// pass, so a pass in steady state performs no heap allocation.
+// netlist::Topology (contiguous fanin spans in the evaluation loop). Each
+// gate is evaluated by a direct switch over its operator, four words per
+// plane. Fault forcing lives in flat per-gate and per-fanin-edge four-word
+// mask arrays that persist on the simulator and are cleared entry-by-entry
+// between passes; one flag byte per gate keeps unforced, untied gates on the
+// plain path. A learned tie reaches only the faulty lanes whose fault cone
+// does not contain the tied gate; which ties lie in each gate's cone comes
+// from a tie-cone index built once per tied-gate list, so a pass spends one
+// index row per fault on it and walks no cones. Detection ORs the per-output
+// diff words into a lane mask and walks its set bits once per pass, so a
+// pass in steady state performs no heap allocation.
 
 #include "exec/budget.hpp"
 #include "exec/cancel.hpp"
@@ -68,14 +71,24 @@ public:
     /// untied) with per-gate proof cycles (frames before the cycle are not
     /// seeded; null = all combinational). Ties always apply to the good
     /// machine (lane 0); a faulty lane receives a tie only when the tied
-    /// gate lies outside that fault's cone, where the faulty machine
-    /// behaves identically. This closes the pessimism gap between the
-    /// learning-aware ATPG and plain 3-valued validation (the paper's
-    /// "pitfalls of necessary assignments" discussion). Vectors must
-    /// outlive the simulator; the tied-gate list is read here, so call again
-    /// after changing their contents.
+    /// gate lies outside that fault's forward cone (through flip-flops),
+    /// where the faulty machine behaves identically. This closes the
+    /// pessimism gap between the learning-aware ATPG and plain 3-valued
+    /// validation (the paper's "pitfalls of necessary assignments"
+    /// discussion). Vectors must outlive the simulator; the tied-gate list
+    /// is read here, so call again after changing their contents. The
+    /// tie-cone index is rebuilt only when the tied-gate list differs from
+    /// the one it was built for (null values keep it for a later call).
     void set_good_ties(const std::vector<Val3>* values,
                        const std::vector<std::uint32_t>* cycles);
+
+    /// set_good_ties() with `from`'s vectors, sharing its tie-cone index
+    /// (read-only) instead of building another — for per-worker clones.
+    void share_good_ties(const FaultSimulator& from);
+
+    /// The tied gates (ascending) in the forward cone of gate `g` under the
+    /// current ties: a fault at `g` never receives these ties in its lane.
+    std::vector<netlist::GateId> ties_in_cone(netlist::GateId g) const;
 
     /// Simulate `seq` with up to kFaultsPerPass `faults` injected in
     /// parallel; returns one flag per fault (true = detected).
@@ -96,7 +109,8 @@ public:
 
     /// Approximate heap bytes of reusable scratch (force masks, tie lanes,
     /// pattern/state vectors, chunk buffers, the detected bitmap), including
-    /// lazily built worker clones. Excludes the shared Topology.
+    /// lazily built worker clones, plus the tie-cone index (counted once
+    /// when clones share it). Excludes the shared Topology.
     std::size_t memory_bytes() const noexcept;
 
 private:
@@ -110,8 +124,31 @@ private:
     };
     using LaneMask = std::array<std::uint64_t, kWords>;
 
+    // Which tie groups lie in each gate's forward cone. Gates are grouped
+    // into the strongly connected components of the fanout graph
+    // (flip-flop edges included): gates of one component share their cone,
+    // and ties of one component are reached together, so a component's row
+    // is a bitset over the components holding ties (the "groups"). Built
+    // from one Tarjan walk and one sweep of the condensation, sinks first.
+    struct TieConeIndex {
+        std::vector<netlist::GateId> tied;  // the tied gates it was built for
+        std::vector<std::uint32_t> comp;    // gate -> component
+        std::vector<std::uint32_t> group;   // tie (index into tied) -> group
+        std::size_t num_groups = 0;
+        std::size_t words = 0;              // row length in 64-bit words
+        std::vector<std::uint64_t> rows;    // component -> groups in its cone
+
+        TieConeIndex(const netlist::Topology& topo, std::vector<netlist::GateId> tied_gates);
+        std::span<const std::uint64_t> row(netlist::GateId g) const noexcept {
+            return {rows.data() + comp[g] * words, words};
+        }
+        std::size_t memory_bytes() const noexcept;
+    };
+
     void clear_forces();
-    void mark_cone(netlist::GateId root, std::size_t lane);
+    /// Heap bytes of this simulator's own buffers and its clones', without
+    /// the shared tie-cone index.
+    std::size_t scratch_bytes() const noexcept;
     /// One pass over `faults` (at most kFaultsPerPass); returns the detected
     /// lanes (fault j is lane j + 1).
     LaneMask pass(const sim::InputSequence& seq, std::span<const Fault> faults);
@@ -153,15 +190,14 @@ private:
     std::vector<Tie> ties_;
     std::vector<Lanes> tie_lanes_;
     std::vector<std::int32_t> tie_index_;
+    // The index for the tied gates (shared with worker clones) and, per
+    // pass, each group's lanes whose fault cone contains it.
+    std::shared_ptr<const TieConeIndex> cone_index_;
+    std::vector<LaneMask> group_lanes_;
 
-    // Reused pass scratch: per-gate lanes, sequential state, fault-cone
-    // lane masks (allocated when ties are first set; entries reset through
-    // cone_touched_), and the BFS stack.
+    // Reused pass scratch: per-gate lanes and sequential state.
     std::vector<Lanes> pats_;
     std::vector<Lanes> state_;
-    std::vector<LaneMask> outside_cone_;
-    std::vector<netlist::GateId> cone_touched_;
-    std::vector<netlist::GateId> cone_stack_;
     // Reused drop_detected() chunk buffers.
     std::vector<std::size_t> chunk_indices_;
     std::vector<Fault> chunk_;

@@ -32,6 +32,24 @@ std::vector<GateId> cone(const Netlist& nl, GateId start, bool through_seq, bool
 
 }  // namespace
 
+void ForwardCone::walk(const Topology& topo, GateId root) {
+    if (mark_.size() == topo.size()) {
+        for (const GateId g : gates_) mark_[g] = 0;
+    } else {
+        mark_.assign(topo.size(), 0);
+    }
+    gates_.assign(1, root);
+    mark_[root] = 1;
+    for (std::size_t i = 0; i < gates_.size(); ++i) {
+        for (const GateId h : topo.fanouts(gates_[i])) {
+            if (mark_[h] == 0) {
+                mark_[h] = 1;
+                gates_.push_back(h);
+            }
+        }
+    }
+}
+
 std::vector<GateId> fanout_cone(const Netlist& nl, GateId start, bool through_seq) {
     return cone(nl, start, through_seq, /*forward=*/true);
 }

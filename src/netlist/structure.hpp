@@ -4,9 +4,31 @@
 #include "netlist/netlist.hpp"
 #include "netlist/topology.hpp"
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace seqlearn::netlist {
+
+/// The forward closure of a fault site over a Topology's fanout spans,
+/// through combinational and sequential sinks (a latched fault effect
+/// persists across frames): every gate whose value a fault at the root can
+/// change. The caller owns the buffers and reuses them across walks; a walk
+/// undoes the previous one's marks through its gate list, so it costs the
+/// cone only.
+class ForwardCone {
+public:
+    /// Replace the cone with the forward closure of `root` (root included).
+    void walk(const Topology& topo, GateId root);
+
+    bool contains(GateId g) const noexcept { return mark_[g] != 0; }
+    /// The cone's gates in breadth-first order from the root.
+    std::span<const GateId> gates() const noexcept { return gates_; }
+
+private:
+    std::vector<std::uint8_t> mark_;
+    std::vector<GateId> gates_;  // the walk's queue and, after it, the cone
+};
 
 /// Gates reachable forward from `start` (excluding `start` itself).
 /// When `through_seq` is false the traversal stops at sequential elements

@@ -11,9 +11,15 @@
 #include "core/tie.hpp"
 #include "fault/fault.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/structure.hpp"
+#include "sim/parallel_sim.hpp"
 #include "test_helpers.hpp"
+#include "workload/circuit_gen.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 namespace seqlearn::core {
 namespace {
@@ -198,6 +204,109 @@ TEST(Equivalence, SupportCapDropsLargeCandidates) {
     wide.support_cap = 8;
     const EquivResult eq2 = find_equivalences(nl, wide);
     EXPECT_EQ(eq2.rep[nl.find("w1")], eq2.rep[nl.find("w2")]);
+}
+
+// Every candidate pair the prover forms (signature buckets, first gate as
+// representative) is checked against scalar evaluation of every assignment
+// of the circuit's sources; the result must hold exactly the pairs that
+// agree on all of them. Few signature rounds keep many colliding, refutable
+// candidates, and the union supports span both packed 64-lane batches
+// (support <= 6) and solo proofs iterating 64-assignment chunks (7..14).
+TEST(EquivalenceOracle, PackedAndSoloVerdictsMatchBruteForce) {
+    EquivOptions opt;
+    opt.sig_rounds = 1;
+    std::size_t packed = 0, solo = 0, proven = 0, refuted = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        workload::GenParams p;
+        p.name = "equiv";
+        p.seed = seed;
+        p.n_inputs = 6;
+        p.n_outputs = 4;
+        p.n_ffs = 5;
+        p.shadow_ff_fraction = 0.0;
+        p.n_gates = 90;
+        const Netlist nl = workload::generate(p);
+        const std::size_t n_seq = nl.seq_elements().size();
+        const std::size_t n_src = n_seq + nl.inputs().size();
+        ASSERT_LE(n_src, opt.support_cap) << "seed " << seed;
+
+        // truth[g][a]: gate g under assignment a (state bits low, inputs high).
+        const sim::CombEngine engine(nl);
+        std::vector<std::vector<bool>> truth(nl.size(), std::vector<bool>(1ULL << n_src));
+        for (std::uint64_t a = 0; a < (1ULL << n_src); ++a) {
+            const std::vector<Val3> vals =
+                testing::eval_frame(nl, engine, a & ((1ULL << n_seq) - 1), a >> n_seq);
+            for (GateId g = 0; g < nl.size(); ++g) {
+                ASSERT_NE(vals[g], Val3::X) << nl.name_of(g);
+                truth[g][a] = vals[g] == Val3::One;
+            }
+        }
+        // The proof's free variables: the gate itself when it is a source,
+        // plus the non-constant sources of its combinational fanin cone.
+        auto support = [&](GateId g) {
+            std::vector<GateId> s;
+            const GateType t = nl.type(g);
+            if (t == GateType::Input || netlist::is_sequential(t)) s.push_back(g);
+            for (const GateId x : netlist::comb_support(nl, g)) {
+                if (nl.type(x) != GateType::Const0 && nl.type(x) != GateType::Const1)
+                    s.push_back(x);
+            }
+            std::sort(s.begin(), s.end());
+            s.erase(std::unique(s.begin(), s.end()), s.end());
+            return s;
+        };
+
+        const sim::SignatureSet sigs = sim::collect_signatures(nl, opt.sig_rounds, opt.seed);
+        std::map<std::vector<std::uint64_t>, std::vector<std::pair<GateId, bool>>> buckets;
+        for (GateId g = 0; g < nl.size(); ++g) {
+            std::vector<std::uint64_t> key(sigs.of(g).begin(), sigs.of(g).end());
+            const bool flip = key[0] & 1;
+            if (flip) {
+                for (auto& w : key) w = ~w;
+            }
+            buckets[key].push_back({g, flip});
+        }
+        std::vector<GateId> expect_rep(nl.size(), netlist::kNoGate);
+        std::vector<bool> expect_inverted(nl.size(), false);
+        for (const auto& [key, entries] : buckets) {
+            if (entries.size() < 2 || entries.size() > opt.max_bucket) continue;
+            const auto [rep, rep_flip] = entries[0];
+            const std::vector<GateId> rep_support = support(rep);
+            for (std::size_t i = 1; i < entries.size(); ++i) {
+                const auto [m, m_flip] = entries[i];
+                const bool inverted = m_flip != rep_flip;
+                std::vector<GateId> both = support(m);
+                both.insert(both.end(), rep_support.begin(), rep_support.end());
+                std::sort(both.begin(), both.end());
+                both.erase(std::unique(both.begin(), both.end()), both.end());
+                ++(both.size() <= 6 ? packed : solo);
+                bool same = true;
+                for (std::size_t a = 0; same && a < truth[m].size(); ++a)
+                    same = truth[m][a] == (truth[rep][a] != inverted);
+                if (!same) {
+                    ++refuted;
+                    continue;
+                }
+                ++proven;
+                expect_rep[rep] = rep;
+                expect_rep[m] = rep;
+                expect_inverted[m] = inverted;
+            }
+        }
+
+        const EquivResult eq = find_equivalences(nl, opt);
+        for (GateId g = 0; g < nl.size(); ++g) {
+            EXPECT_EQ(eq.rep[g], expect_rep[g]) << "seed " << seed << " gate " << nl.name_of(g);
+            if (expect_rep[g] != netlist::kNoGate) {
+                EXPECT_EQ(eq.inverted[g], expect_inverted[g])
+                    << "seed " << seed << " gate " << nl.name_of(g);
+            }
+        }
+    }
+    EXPECT_GT(packed, 0u);
+    EXPECT_GT(solo, 0u) << "no candidate needed a solo (7..14 support) proof";
+    EXPECT_GT(proven, 0u);
+    EXPECT_GT(refuted, 0u);
 }
 
 // --- Learning: hand-built scenarios -----------------------------------------

@@ -11,6 +11,7 @@
 #include "fault/fault_sim.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/builder.hpp"
+#include "netlist/structure.hpp"
 #include "netlist/topology.hpp"
 #include "sim/comb_engine.hpp"
 #include "test_helpers.hpp"
@@ -525,6 +526,133 @@ TEST(FaultSimWide, LearnedTiesAgreeSerialPooledAndPerFault) {
             if (plain_list.status(i) == FaultStatus::Detected) {
                 EXPECT_TRUE(det) << to_string(nl, faults[i]);
             }
+        }
+        // Full tied run() passes report what the per-fault runs report.
+        for (std::size_t pos = 0; pos < faults.size(); pos += kFaultsPerPass) {
+            const std::span<const Fault> chunk(
+                faults.data() + pos, std::min(kFaultsPerPass, faults.size() - pos));
+            const std::vector<bool> det = serial.run(seq, chunk);
+            for (std::size_t j = 0; j < chunk.size(); ++j)
+                EXPECT_EQ(det[j], serial.detects(seq, chunk[j])) << to_string(nl, chunk[j]);
+        }
+    }
+}
+
+// --- the tie-cone index against a forward-BFS oracle ------------------------
+
+// A seeded random tie set: about `density` of the gates tied to a random
+// binary value from a proof cycle in 0..2. The facts are not sound for the
+// circuit, which the simulator's lane semantics do not depend on.
+struct RandomTies {
+    std::vector<Val3> values;
+    std::vector<std::uint32_t> cycles;
+};
+
+RandomTies random_ties(std::size_t n, double density, util::Rng& rng) {
+    RandomTies t{std::vector<Val3>(n, Val3::X), std::vector<std::uint32_t>(n, 0)};
+    for (std::size_t g = 0; g < n; ++g) {
+        if (!rng.chance(density)) continue;
+        t.values[g] = rng.chance(0.5) ? Val3::One : Val3::Zero;
+        t.cycles[g] = static_cast<std::uint32_t>(rng.below(3));
+    }
+    return t;
+}
+
+// The oracle: the tied gates a forward walk from `g` reaches.
+std::vector<GateId> bfs_ties_in_cone(const netlist::Topology& topo, const RandomTies& ties,
+                                     GateId g, netlist::ForwardCone& cone) {
+    cone.walk(topo, g);
+    std::vector<GateId> out;
+    for (GateId h = 0; h < topo.size(); ++h) {
+        if (ties.values[h] != Val3::X && cone.contains(h)) out.push_back(h);
+    }
+    return out;
+}
+
+// Every full run() pass over `faults` against single-fault runs.
+void expect_passes_match_per_fault(FaultSimulator& fsim, const Netlist& nl,
+                                   const std::vector<Fault>& faults, const InputSequence& seq,
+                                   const std::string& where) {
+    for (std::size_t pos = 0; pos < faults.size(); pos += kFaultsPerPass) {
+        const std::span<const Fault> chunk(faults.data() + pos,
+                                           std::min(kFaultsPerPass, faults.size() - pos));
+        const std::vector<bool> det = fsim.run(seq, chunk);
+        for (std::size_t j = 0; j < chunk.size(); ++j)
+            EXPECT_EQ(det[j], fsim.detects(seq, chunk[j])) << to_string(nl, chunk[j]) << where;
+    }
+}
+
+TEST(TieConeIndex, MatchesForwardBfsOnGeneratedCircuits) {
+    std::size_t in_cone = 0, outside = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        workload::GenParams p;
+        p.name = "tiecone";
+        p.seed = seed;
+        p.n_ffs = 4 + seed % 9;
+        p.n_gates = 60 + 5 * seed;
+        const Netlist nl = workload::generate(p);
+        const netlist::Topology topo(nl);
+        const std::vector<Fault> faults = collapse(nl).representatives();
+        util::Rng rng(seed);
+        FaultSimulator fsim(topo);
+        netlist::ForwardCone cone;
+        for (const double density : {0.05, 0.3}) {
+            const RandomTies ties = random_ties(topo.size(), density, rng);
+            fsim.set_good_ties(&ties.values, &ties.cycles);
+            const std::string where = " seed " + std::to_string(seed) + " density " +
+                                      std::to_string(density);
+            for (const Fault& f : faults) {
+                const std::vector<GateId> expect = bfs_ties_in_cone(topo, ties, f.gate, cone);
+                EXPECT_EQ(fsim.ties_in_cone(f.gate), expect) << to_string(nl, f) << where;
+                in_cone += expect.size();
+                outside += static_cast<std::size_t>(
+                    std::count_if(ties.values.begin(), ties.values.end(),
+                                  [](Val3 v) { return v != Val3::X; })) - expect.size();
+            }
+            expect_passes_match_per_fault(fsim, nl, faults,
+                                          sequence_with_x_frames(nl, 8, {1}, rng), where);
+            fsim.set_good_ties(nullptr, nullptr);
+        }
+    }
+    // Both sides of the lane rule were exercised.
+    EXPECT_GT(in_cone, 0u);
+    EXPECT_GT(outside, 0u);
+}
+
+TEST(TieConeIndex, KeptForTheSameTiedGatesAndRebuiltForOthers) {
+    // One simulator walks through tie sets (same gates with other values,
+    // detached, different gates); each step must simulate exactly like a
+    // fresh simulator given that set alone, serially and pooled.
+    const Netlist nl = wide_circuit(17);
+    const netlist::Topology topo(nl);
+    const std::vector<Fault> faults = collapse(nl).representatives();
+    util::Rng rng(17);
+    const RandomTies first = random_ties(topo.size(), 0.2, rng);
+    RandomTies flipped = first;
+    for (Val3& v : flipped.values) {
+        if (v != Val3::X) v = logic::v3_not(v);
+    }
+    const RandomTies other = random_ties(topo.size(), 0.2, rng);
+
+    exec::Pool pool(3);
+    FaultSimulator reused(topo);
+    reused.set_executor(&pool);
+    const InputSequence seq = sequence_with_x_frames(nl, 10, {2}, rng);
+    const RandomTies* const steps[] = {&first, &flipped, nullptr, &first, &other};
+    for (const RandomTies* ties : steps) {
+        if (ties != nullptr) {
+            reused.set_good_ties(&ties->values, &ties->cycles);
+        } else {
+            reused.set_good_ties(nullptr, nullptr);
+        }
+        FaultSimulator fresh(topo);
+        if (ties != nullptr) fresh.set_good_ties(&ties->values, &ties->cycles);
+        FaultList reused_list(faults);
+        FaultList fresh_list(faults);
+        EXPECT_EQ(reused.drop_detected(seq, reused_list), fresh.drop_detected(seq, fresh_list));
+        for (std::size_t i = 0; i < faults.size(); ++i) {
+            EXPECT_EQ(reused_list.status(i), fresh_list.status(i)) << to_string(nl, faults[i]);
+            EXPECT_EQ(reused.ties_in_cone(faults[i].gate), fresh.ties_in_cone(faults[i].gate));
         }
     }
 }

@@ -39,6 +39,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -478,14 +479,17 @@ TEST(ServerShutdown, InFlightRequestGetsResponseNotDroppedConnection) {
 
     std::string status;
     bool got_response = false;
+    std::atomic<bool> returned{false};
     std::thread in_flight([&] {
         const JsonValue r = c.rpc("{\"cmd\": \"learn\", \"force\": true, "
                                   "\"design\": \"" + digest + "\", \"id\": \"slow\"}");
         got_response = r.is_object();
         status = outcome_status(r);
+        returned.store(true);
     });
-    // Wait until the request is actually inside the service, then stop.
-    while (srv.service().active_requests() == 0)
+    // Wait until the request is actually inside the service, then stop. A
+    // learn that finishes before this thread looks never shows as active.
+    while (srv.service().active_requests() == 0 && !returned.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     srv.stop();
     in_flight.join();
@@ -510,13 +514,15 @@ TEST(ServerShutdown, CancelRequestStopsARunById) {
     ASSERT_FALSE(digest.empty());
 
     std::string status;
+    std::atomic<bool> returned{false};
     std::thread in_flight([&] {
         const JsonValue r =
             worker.rpc("{\"cmd\": \"learn\", \"force\": true, \"design\": \"" +
                        digest + "\", \"id\": \"job-1\"}");
         status = outcome_status(r);
+        returned.store(true);
     });
-    while (srv.service().active_requests() == 0)
+    while (srv.service().active_requests() == 0 && !returned.load())
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
     // Cross-connection cancel by request id.
